@@ -75,7 +75,7 @@ func main() {
 		replicas  = flag.Int("replicas", cluster.DefaultReplicas, "replica-set size R: workers owning each hash range (same value on every node)")
 
 		joinURL     = flag.String("join", "", "worker: router base URL to announce this node to at startup (live join) and to leave on shutdown")
-		handoffRate = flag.Float64("handoff-rate", 0, "worker: max cache entries streamed per second during a reshard handoff (0 = default 200)")
+		handoffRate = flag.Float64("handoff-rate", 0, "worker: max cache entries streamed per second during a reshard handoff (0 = unlimited)")
 		retryBudget = flag.Int("retry-budget", 0, "router: total attempts per request across replicas (0 = default 3)")
 		hedgeAfter  = flag.Duration("hedge-after", 250*time.Millisecond, "router: launch a hedged attempt on the next replica after this long (0 disables)")
 		faultPlan   = flag.String("fault-plan", "", "path to a fault-injection plan JSON (off when empty; see docs/FAULT_INJECTION.md)")

@@ -233,6 +233,26 @@ func TestClusterDifferentialByteIdentity(t *testing.T) {
 		}
 	}
 
+	// Items that fail validation (no register count, a self-loop) answer
+	// per-item errors in place, byte-identically through the shards.
+	mixed, err := json.Marshal(&service.BatchSolveRequest{Items: []service.Request{
+		{Graph: specFromFileT(insts[0].File)},
+		{Graph: &service.GraphSpec{Vertices: 3, Edges: [][2]int{{0, 1}}}},
+		{Graph: &service.GraphSpec{Text: "k 2\nedge a a\n"}},
+		{Graph: specFromFileT(insts[1].File)},
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantStatus, _, want := post(t, single.URL+"/v1/batch", mixed)
+	gotStatus, _, got := post(t, c.RouterURL+"/v1/batch", mixed)
+	if wantStatus != http.StatusOK || !bytes.Contains(want, []byte(`"error"`)) {
+		t.Fatalf("mixed batch: single-node status %d without per-item errors: %s", wantStatus, want)
+	}
+	if gotStatus != wantStatus || !bytes.Equal(got, want) {
+		t.Fatalf("mixed batch: cluster (%d) %s, single (%d) %s", gotStatus, got, wantStatus, want)
+	}
+
 	// Error paths route to the deterministic fallback shard and must
 	// reproduce the single-node error bodies exactly.
 	for _, bad := range []string{
@@ -258,6 +278,59 @@ func TestClusterDifferentialByteIdentity(t *testing.T) {
 		gotStatus, _, got := post(t, c.RouterURL+"/v1/batch", []byte(bad))
 		if gotStatus != wantStatus || !bytes.Equal(got, want) {
 			t.Fatalf("batch error body %q: cluster (%d) %s, single (%d) %s", bad, gotStatus, got, wantStatus, want)
+		}
+	}
+}
+
+// Malformed solve, batch and delta bodies get the same status, the same
+// body and the same bad_requests increase from a plain service and from
+// a standalone worker: both answer through one pipeline, and each 400
+// is counted once.
+func TestBadRequestsMatchSingleNode(t *testing.T) {
+	scfg := service.Config{Workers: 2, QueueCap: 16, MaxBatch: 2}
+	single, singleTS := startSingle(t, scfg)
+	svc, err := service.New(scfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w, err := cluster.NewWorker(svc, cluster.WorkerConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	workerTS := httptest.NewServer(w)
+	t.Cleanup(func() {
+		workerTS.Close()
+		svc.Close()
+	})
+
+	cases := []struct{ path, body string }{
+		{"/v1/coalesce", `not json`},
+		{"/v1/coalesce", `{}`},
+		{"/v1/allocate", `{"graph":{"vertices":2,"edges":[[0,5]],"k":2}}`},
+		{"/v1/spill", `{"batch":[{}]}`},
+		{"/v1/batch", `not json`},
+		{"/v1/batch", `{"kind":"bogus","items":[{}]}`},
+		{"/v1/batch", `{"kind":"coalesce","items":[]}`},
+		{"/v1/batch", `{"items":[{},{},{}]}`},
+		{"/v1/batch", `{"items":[{},{"graph":{"text":"k 2\nedge a a\n"}}]}`},
+		{"/v1/coalesce/delta", `not json`},
+		{"/v1/coalesce/delta", `{"op":"create"}`},
+		{"/v1/coalesce/delta", `{"op":"delta"}`},
+		{"/v1/coalesce/delta", `{"op":"bogus","session_id":"s"}`},
+	}
+	for _, tc := range cases {
+		singleBefore := single.Metrics().BadRequests.Load()
+		workerBefore := svc.Metrics().BadRequests.Load()
+		wantStatus, _, want := post(t, singleTS.URL+tc.path, []byte(tc.body))
+		gotStatus, _, got := post(t, workerTS.URL+tc.path, []byte(tc.body))
+		if gotStatus != wantStatus || !bytes.Equal(got, want) {
+			t.Errorf("%s %s: worker (%d) %s, single (%d) %s", tc.path, tc.body, gotStatus, got, wantStatus, want)
+		}
+		singleBad := single.Metrics().BadRequests.Load() - singleBefore
+		workerBad := svc.Metrics().BadRequests.Load() - workerBefore
+		if singleBad == 0 || workerBad != singleBad {
+			t.Errorf("%s %s: bad_requests rose by %d on the worker, %d on a single node (want equal, nonzero)",
+				tc.path, tc.body, workerBad, singleBad)
 		}
 	}
 }

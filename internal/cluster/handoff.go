@@ -52,9 +52,6 @@ type sessionExport struct {
 // streams reassigned state in the background. Called with the old and
 // freshly installed views under no locks.
 func (w *Worker) startHandoff(old, next *TopologyView) {
-	if w.cfg.DisablePeerFill {
-		return
-	}
 	w.prev.Store(old)
 	window := w.cfg.HandoffWindow
 	if window <= 0 {
@@ -242,7 +239,7 @@ func (w *Worker) pushSessionExport(peer string, rec *session.ExportRecord) error
 // a reshard moved it since creation. Asynchronous — eviction happens
 // on a client request's critical path.
 func (w *Worker) onSessionEvict(id string) {
-	if w.topo == nil || w.cfg.DisablePeerFill {
+	if w.topo == nil {
 		return
 	}
 	lg := w.sessLogs.get(id)

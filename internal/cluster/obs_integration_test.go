@@ -352,4 +352,60 @@ func TestWorkerPhasesHeaderThroughRouter(t *testing.T) {
 			t.Errorf("unknown phase %q in header", name)
 		}
 	}
+	assertNoRepeatedPhase(t, hdr.Get(service.PhasesHeader))
+
+	// A non-owner (R = 1) misses locally and fills from the owner: the
+	// one path that looks up the local cache twice must still report
+	// each phase once (ParsePhases keeps only the last duplicate).
+	r1 := startCluster(t, 2, cluster.InProcessOptions{
+		Worker: cluster.WorkerConfig{Replicas: 1},
+		Router: cluster.RouterConfig{Replicas: 1},
+	})
+	body := requestBody(t, insts[0].File)
+	var req service.Request
+	if err := json.Unmarshal(body, &req); err != nil {
+		t.Fatal(err)
+	}
+	owner := r1.Router.Ring().Owner(service.RoutingHash(&req, 0))
+	post(t, owner+"/v1/coalesce", body)
+	for _, w := range r1.Workers {
+		if w.URL == owner {
+			continue
+		}
+		status, hdr, _ = post(t, w.URL+"/v1/coalesce", body)
+		if status != http.StatusOK || hdr.Get("X-Regcoal-Tier") != "peer" {
+			t.Fatalf("non-owner: status %d, tier %q, want a peer fill", status, hdr.Get("X-Regcoal-Tier"))
+		}
+		if _, ok := obs.ParsePhases(hdr.Get(service.PhasesHeader))["peer"]; !ok {
+			t.Errorf("peer-filled response reports no peer phase: %q", hdr.Get(service.PhasesHeader))
+		}
+		assertNoRepeatedPhase(t, hdr.Get(service.PhasesHeader))
+	}
+
+	// A single node has no tier: no peer phase, no tier header.
+	_, single := startSingle(t, service.Config{})
+	status, hdr, _ = post(t, single.URL+"/v1/coalesce", requestBody(t, insts[0].File))
+	if status != http.StatusOK {
+		t.Fatalf("single-node status %d", status)
+	}
+	if _, ok := obs.ParsePhases(hdr.Get(service.PhasesHeader))["peer"]; ok {
+		t.Errorf("single-node response carries a peer phase: %q", hdr.Get(service.PhasesHeader))
+	}
+	if tier := hdr.Get("X-Regcoal-Tier"); tier != "" {
+		t.Errorf("single-node response carries X-Regcoal-Tier %q", tier)
+	}
+}
+
+// assertNoRepeatedPhase fails when a phase name appears twice in an
+// X-Regcoal-Phases value.
+func assertNoRepeatedPhase(t *testing.T, header string) {
+	t.Helper()
+	seen := map[string]bool{}
+	for _, seg := range strings.Split(header, ";") {
+		name, _, _ := strings.Cut(seg, "=")
+		if seen[name] {
+			t.Errorf("phase %q appears twice in %q", name, header)
+		}
+		seen[name] = true
+	}
 }

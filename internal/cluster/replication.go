@@ -146,78 +146,11 @@ type sessionLogOp struct {
 	Body      json.RawMessage `json:"body,omitempty"`
 }
 
-// captureWriter buffers a response so the worker can inspect and
-// replicate it before relaying the exact bytes to the client.
-type captureWriter struct {
-	hdr    http.Header
-	status int
-	buf    bytes.Buffer
-}
-
-func newCapture() *captureWriter {
-	return &captureWriter{hdr: make(http.Header), status: http.StatusOK}
-}
-
-func (c *captureWriter) Header() http.Header         { return c.hdr }
-func (c *captureWriter) WriteHeader(status int)      { c.status = status }
-func (c *captureWriter) Write(p []byte) (int, error) { return c.buf.Write(p) }
-
-// copyTo relays the captured response verbatim.
-func (c *captureWriter) copyTo(rw http.ResponseWriter) {
-	dst := rw.Header()
-	for k, vs := range c.hdr {
-		dst[k] = vs
-	}
-	rw.WriteHeader(c.status)
-	rw.Write(c.buf.Bytes())
-}
-
-// handleDelta wraps the service's session endpoint with the replication
-// protocol: rebuild-before-serve for sessions this worker holds only as
-// a replicated log, and log-and-push-after-success so the replica set
-// stays current. The service handler sees the verbatim body and
-// produces the verbatim response — replication never changes bytes.
-func (w *Worker) handleDelta(rw http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		w.writeError(rw, http.StatusMethodNotAllowed, "POST required")
-		return
-	}
-	body, err := io.ReadAll(http.MaxBytesReader(rw, r.Body, w.svc.Config().MaxBodyBytes))
-	if err != nil {
-		w.writeError(rw, http.StatusBadRequest, fmt.Sprintf("reading request: %v", err))
-		return
-	}
-	// Lenient peek purely for replication bookkeeping; the service's
-	// strict decode of the same bytes is what produces the response.
-	var req service.DeltaRequest
-	_ = json.Unmarshal(body, &req)
-
-	if w.topo != nil && req.SessionID != "" {
-		switch req.Op {
-		case "", "delta", "close":
-			w.maybeRebuild(req.SessionID)
-		}
-	}
-
-	rec := newCapture()
-	r2 := r.Clone(r.Context())
-	r2.Body = io.NopCloser(bytes.NewReader(body))
-	r2.ContentLength = int64(len(body))
-	w.svc.Handler().ServeHTTP(rec, r2)
-
-	// Replicate before answering: once the client has seen success, a
-	// primary death must always be recoverable from a secondary's log.
-	if rec.status == http.StatusOK && w.topo != nil {
-		w.replicateSessionOp(&req, body, rec.buf.Bytes())
-	}
-	rec.copyTo(rw)
-}
-
-// maybeRebuild replays a session this worker holds as a replicated log
-// but not live — the failover moment. Sessions alive locally or logs
-// without a create are left alone.
-func (w *Worker) maybeRebuild(id string) {
-	if _, err := w.svc.Sessions().Get(id); err == nil {
+// SessionMissing implements service.Tier: it replays a session this
+// worker holds as a replicated log but not live — the failover moment.
+// Logs without a create are left alone.
+func (w *Worker) SessionMissing(id string) {
+	if w.topo == nil {
 		return
 	}
 	lg := w.sessLogs.get(id)
@@ -239,9 +172,15 @@ func byteSlices(raws []json.RawMessage) [][]byte {
 	return out
 }
 
-// replicateSessionOp records a successful session op locally and pushes
-// it to the other members of the base hash's replica set.
-func (w *Worker) replicateSessionOp(req *service.DeltaRequest, body, respBody []byte) {
+// SessionApplied implements service.Tier: it records a successful
+// session op (its verbatim request body) locally and pushes it to the
+// other members of the base hash's replica set. The service calls it
+// before answering, so once the client has seen success a primary death
+// is always recoverable from a secondary's log.
+func (w *Worker) SessionApplied(req *service.DeltaRequest, body []byte, resp *service.DeltaResponse) {
+	if w.topo == nil {
+		return
+	}
 	op := req.Op
 	if op == "" {
 		op = "delta"
@@ -250,10 +189,6 @@ func (w *Worker) replicateSessionOp(req *service.DeltaRequest, body, respBody []
 	wireOp := ""
 	switch op {
 	case "create":
-		var resp service.DeltaResponse
-		if json.Unmarshal(respBody, &resp) != nil || resp.SessionID == "" {
-			return
-		}
 		id, baseHash = resp.SessionID, resp.BaseHash
 		w.sessLogs.upsertCreate(id, baseHash, body)
 		wireOp = "create"

@@ -1,11 +1,12 @@
 // Package cluster is the distributed serving tier over internal/service:
 // a consistent-hash router shards requests by canonical graph hash across
-// worker nodes, each worker wraps the service solve path with admission
-// lanes and a tiered (local LRU + peer fill) cache, and a batch endpoint
-// fans one decode pass out per shard. The tier's contract is that a
-// multi-node cluster answers every request with bytes identical to a
-// single-process service: routing, caching, and fan-out may change where
-// and whether an instance is computed, never what the client reads.
+// worker nodes, each worker joins its service's request pipeline as the
+// service.Tier (admission lanes, a tiered local LRU + peer fill cache,
+// push-on-compute, session replication), and a batch endpoint fans one
+// decode pass out per shard. The tier's contract is that a multi-node
+// cluster answers every request with bytes identical to a single-process
+// service: routing, caching, and fan-out may change where and whether an
+// instance is computed, never what the client reads.
 package cluster
 
 import (
@@ -344,11 +345,6 @@ func (r *Router) traceID(req *http.Request) string {
 func (r *Router) routingKey(body []byte) string {
 	var req service.Request
 	if err := json.Unmarshal(body, &req); err != nil {
-		return ""
-	}
-	if len(req.Batch) > 0 {
-		// Legacy in-request batches are not split; the whole request goes
-		// to one deterministic shard. POST /v1/batch is the sharded path.
 		return ""
 	}
 	return service.RoutingHash(&req, r.cfg.MaxVertices)
@@ -734,10 +730,7 @@ func (r *Router) handleBatch(rw http.ResponseWriter, req *http.Request) {
 	groups := make(map[string]*group)
 	ring := r.topo.View().Ring
 	for i := range breq.Items {
-		key := ""
-		if len(breq.Items[i].Batch) == 0 {
-			key = service.RoutingHash(&breq.Items[i], r.cfg.MaxVertices)
-		}
+		key := service.RoutingHash(&breq.Items[i], r.cfg.MaxVertices)
 		owner := ring.Owner(key)
 		g, ok := groups[owner]
 		if !ok {

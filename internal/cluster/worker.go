@@ -3,7 +3,6 @@ package cluster
 import (
 	"bytes"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -25,11 +24,11 @@ func setTraceHeader(req *http.Request, tr *obs.Trace) {
 	}
 }
 
-// Worker is one shard of the serving tier: a service.Server wrapped with
-// the cluster's tiered cache, admission lanes, and peer-fill protocol.
-// Its solve endpoints behave byte-identically to the plain service — same
-// decode rules, same error messages, same deterministic bodies — with
-// three additions:
+// Worker is one shard of the serving tier: a service.Server whose request
+// pipeline it joins as the service.Tier, plus the cluster's internal
+// wires. Its /v1/* endpoints are the service's own handlers — same decode
+// rules, same error messages, same deterministic bodies — with these
+// additions at the tier's hook points:
 //
 //   - Tiered cache: on a local (L1) miss whose canonical hash is owned by
 //     a different shard, the worker first asks the owner's cache over
@@ -38,8 +37,10 @@ func setTraceHeader(req *http.Request, tr *obs.Trace) {
 //     Entries travel in canonical vertex space (service wire format), so
 //     a relabeled duplicate filled from a peer still renders in its own
 //     numbering.
-//   - Admission lanes: misses are classified fast/heavy by size class and
-//     admitted through bounded lanes; a full lane answers 429.
+//   - Admission lanes: a single solve about to compute (not a hit, not a
+//     collapse onto a running race, not a batch item) is classified
+//     fast/heavy by size class and admitted through bounded lanes; a full
+//     lane answers 429.
 //   - Push-on-compute: an entry computed on any shard is pushed to every
 //     member of its hash's replica set (PUT /internal/cache), so each of
 //     the R owners accumulates the cluster's working set no matter where
@@ -104,9 +105,6 @@ type WorkerConfig struct {
 	Admission AdmissionConfig
 	// Client performs peer cache traffic (default 2s timeout).
 	Client *http.Client
-	// DisablePeerFill turns off L2 lookups and pushes while keeping the
-	// ring (for experiments isolating admission from the tiered cache).
-	DisablePeerFill bool
 	// Replicas is the replica-set size R each hash range is owned by
 	// (default DefaultReplicas, capped by the worker count). Must match
 	// the router's. R = 1 is the pre-replication single-owner behavior.
@@ -121,7 +119,8 @@ type WorkerConfig struct {
 	HandoffWindow time.Duration
 }
 
-// NewWorker wraps svc as a cluster shard.
+// NewWorker makes svc a cluster shard, installing the worker as its
+// tier.
 func NewWorker(svc *service.Server, cfg WorkerConfig) (*Worker, error) {
 	if cfg.Self != "" {
 		found := false
@@ -162,18 +161,15 @@ func NewWorker(svc *service.Server, cfg WorkerConfig) (*Worker, error) {
 	if w.client == nil {
 		w.client = &http.Client{Timeout: 2 * time.Second}
 	}
-	w.mux.HandleFunc("/v1/coalesce", w.handleSolve(service.KindCoalesce))
-	w.mux.HandleFunc("/v1/allocate", w.handleSolve(service.KindAllocate))
-	w.mux.HandleFunc("/v1/spill", w.handleSolve(service.KindSpill))
-	w.mux.HandleFunc("/v1/coalesce/delta", w.handleDelta)
-	w.mux.HandleFunc("/v1/batch", w.handleBatch)
+	svc.SetTier(w)
 	w.mux.HandleFunc("/internal/cache", w.handleInternalCache)
 	w.mux.HandleFunc("/internal/session/log", w.handleInternalSessionLog)
 	w.mux.HandleFunc("/internal/session/import", w.handleSessionImport)
 	w.mux.HandleFunc("/internal/topology", w.handleInternalTopology)
 	w.mux.HandleFunc("/metrics", w.handleMetrics)
 	w.mux.HandleFunc("/stats", w.handleStats)
-	// Liveness, readiness, and anything else stay the service's.
+	// The /v1/* endpoints, liveness, readiness, and anything else stay
+	// the service's.
 	w.mux.Handle("/", svc.Handler())
 	return w, nil
 }
@@ -210,262 +206,30 @@ func (w *Worker) ServeHTTP(rw http.ResponseWriter, r *http.Request) { w.mux.Serv
 // Service exposes the wrapped server (tests, embedding).
 func (w *Worker) Service() *service.Server { return w.svc }
 
-// handleSolve mirrors the service's solve handler — same metrics, decode
-// rules, and bodies — inserting peer fill and admission between Prepare
-// and SolvePrepared.
-func (w *Worker) handleSolve(kind service.Kind) http.HandlerFunc {
-	return func(rw http.ResponseWriter, r *http.Request) {
-		if r.Method != http.MethodPost {
-			w.writeError(rw, http.StatusMethodNotAllowed, "POST required")
-			return
-		}
-		m := w.svc.Metrics()
-		switch kind {
-		case service.KindCoalesce:
-			m.CoalesceRequests.Add(1)
-		case service.KindAllocate:
-			m.AllocateRequests.Add(1)
-		case service.KindSpill:
-			m.SpillRequests.Add(1)
-		}
-		m.InFlight.Add(1)
-		defer m.InFlight.Add(-1)
-
-		// The router minted (or adopted) the trace ID and forwarded it in
-		// X-Regcoal-Trace-Id; StartTrace adopts it, so one ID names the
-		// request across router, worker, and peer-fill hops.
-		tr := w.svc.StartTrace(service.EndpointOf(kind), r)
-		defer w.svc.FinishTrace(tr)
-		rw.Header().Set(service.TraceIDHeader, tr.ID.String())
-		fail := func(status int, msg string) {
-			tr.Status = status
-			w.writeError(rw, status, msg)
-		}
-
-		tr.BeginPhase(obs.PhaseDecode)
-		var req service.Request
-		body := http.MaxBytesReader(rw, r.Body, w.svc.Config().MaxBodyBytes)
-		dec := json.NewDecoder(body)
-		dec.DisallowUnknownFields()
-		if err := dec.Decode(&req); err != nil {
-			m.BadRequests.Add(1)
-			fail(http.StatusBadRequest, fmt.Sprintf("decoding request: %v", err))
-			return
-		}
-
-		if len(req.Batch) > 0 {
-			if req.Graph != nil {
-				m.BadRequests.Add(1)
-				fail(http.StatusBadRequest, "use either graph or batch, not both")
-				return
-			}
-			if len(req.Batch) > w.svc.Config().MaxBatch {
-				m.BadRequests.Add(1)
-				fail(http.StatusBadRequest,
-					fmt.Sprintf("batch carries %d graphs, limit %d", len(req.Batch), w.svc.Config().MaxBatch))
-				return
-			}
-			tr.EndPhase()
-			resp := w.runBatch(kind, req.Batch)
-			tr.BeginPhase(obs.PhaseEncode)
-			data, err := json.Marshal(resp)
-			tr.EndPhase()
-			if err != nil {
-				w.svc.Metrics().Errors.Add(1)
-				tr.Status = http.StatusInternalServerError
-				http.Error(rw, `{"error":"encoding response"}`, http.StatusInternalServerError)
-				return
-			}
-			tr.Status = http.StatusOK
-			w.writeRaw(rw, http.StatusOK, data)
-			return
-		}
-		p, err := w.svc.PrepareTraced(kind, &req, tr)
-		if err != nil {
-			fail(service.ErrorStatus(err), err.Error())
-			return
-		}
-		respBody, disposition, tier, err := w.solveClustered(p, tr)
-		if err != nil {
-			fail(errorStatus(err), err.Error())
-			return
-		}
-		tr.Cache = disposition
-		tr.Status = http.StatusOK
-		rw.Header().Set("X-Regcoal-Cache", disposition)
-		rw.Header().Set("X-Regcoal-Tier", tier)
-		if h := obs.BuildPhasesHeader(tr); h != "" {
-			rw.Header().Set(service.PhasesHeader, h)
-		}
-		if service.TraceWanted(r) {
-			tr.DurNS = tr.Since()
-			respBody = obs.SpliceTraceJSON(respBody, tr)
-		}
-		w.writeRaw(rw, http.StatusOK, respBody)
-	}
-}
-
-// solveClustered answers a prepared request through the tiered cache and
-// admission lanes. tier reports where the answer came from: "local"
-// (this shard's cache), "peer" (filled from the owner's cache), or
-// "compute". tr (nil ok) records the peer lookup as its own phase.
-func (w *Worker) solveClustered(p *service.Prepared, tr *obs.Trace) (body []byte, disposition, tier string, err error) {
-	tr.BeginPhase(obs.PhasePeer)
-	seeded := w.peerFill(p, tr)
-	tr.EndPhase()
-	if !p.NoCache() && (w.svc.CacheContains(p.Key()) || w.svc.FlightInProgress(p.Key())) {
-		// Cached or about to collapse onto an in-flight race: either way
-		// this request costs no compute, so it bypasses the admission
-		// lanes. (If the flight completes between the check and the
-		// solve, the request computes without a slot — rare and benign.)
-		body, disposition, err = w.svc.SolvePreparedTraced(p, tr)
-		if err != nil {
-			return nil, "", "", err
-		}
-		switch {
-		case disposition != "hit":
-			tier = "compute"
-		case seeded:
-			tier = "peer"
-		default:
-			tier = "local"
-		}
-		return body, disposition, tier, nil
-	}
+// Admit implements service.Tier: a single solve about to compute is
+// classified fast/heavy by size and takes a slot in its lane; a full
+// lane answers 429.
+func (w *Worker) Admit(p *service.Prepared) (func(), error) {
 	lane := w.adm.Classify(p.Vertices(), p.Density())
 	if !w.adm.TryAcquire(lane) {
 		w.laneRejects[lane].Add(1)
 		w.svc.Metrics().Rejected.Add(1)
-		return nil, "", "", &laneFullError{lane: lane}
+		return nil, service.Error(http.StatusTooManyRequests, lane.String()+" lane full, retry later")
 	}
-	defer w.adm.Release(lane)
-	body, disposition, err = w.svc.SolvePreparedTraced(p, tr)
-	if err != nil {
-		return nil, "", "", err
-	}
-	w.pushToOwners(p, disposition, tr)
-	return body, disposition, "compute", nil
+	return func() { w.adm.Release(lane) }, nil
 }
 
-// laneFullError is the admission 429.
-type laneFullError struct{ lane Lane }
-
-func (e *laneFullError) Error() string { return e.lane.String() + " lane full, retry later" }
-
-// errorStatus maps worker-level errors (admission) and service solve
-// errors to their HTTP status.
-func errorStatus(err error) int {
-	var lf *laneFullError
-	if errors.As(err, &lf) {
-		return http.StatusTooManyRequests
-	}
-	return service.ErrorStatus(err)
-}
-
-// solveBatchEntry is the per-item path of both batch shapes: the
-// service's entry solve with the tiered cache and push in front.
-// Admission is not applied per item — the batch fan-out is already
-// bounded by the pool queue, whose saturation surfaces per entry.
-func (w *Worker) solveBatchEntry(kind service.Kind, sub *service.Request) service.BatchEntry {
-	if len(sub.Batch) > 0 {
-		return service.BatchEntry{Error: "batch elements must not nest batches"}
-	}
-	p, err := w.svc.Prepare(kind, sub)
-	if err != nil {
-		return service.BatchEntry{Error: err.Error()}
-	}
-	w.peerFill(p, nil)
-	e, disposition := w.svc.SolveBatchEntry(p)
-	if e.Error == "" {
-		w.pushToOwners(p, disposition, nil)
-	}
-	return e
-}
-
-// runBatch mirrors service.Server.RunBatch — same bounded fan-out, same
-// counters — routed through the worker's per-item path.
-func (w *Worker) runBatch(kind service.Kind, items []service.Request) *service.BatchResponse {
-	w.svc.Metrics().BatchGraphs.Add(int64(len(items)))
-	resp := &service.BatchResponse{Results: make([]service.BatchEntry, len(items))}
-	fanout := w.svc.Config().Workers * 2
-	if fanout > len(items) {
-		fanout = len(items)
-	}
-	idxCh := make(chan int)
-	done := make(chan struct{})
-	for g := 0; g < fanout; g++ {
-		go func() {
-			defer func() { done <- struct{}{} }()
-			for i := range idxCh {
-				resp.Results[i] = w.solveBatchEntry(kind, &items[i])
-			}
-		}()
-	}
-	for i := range items {
-		idxCh <- i
-	}
-	close(idxCh)
-	for g := 0; g < fanout; g++ {
-		<-done
-	}
-	return resp
-}
-
-// handleBatch mirrors the service's /v1/batch — identical validation and
-// bodies — through the worker's per-item path.
-func (w *Worker) handleBatch(rw http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		w.writeError(rw, http.StatusMethodNotAllowed, "POST required")
-		return
-	}
-	m := w.svc.Metrics()
-	m.BatchRequests.Add(1)
-	m.InFlight.Add(1)
-	defer m.InFlight.Add(-1)
-
-	var req service.BatchSolveRequest
-	body := http.MaxBytesReader(rw, r.Body, w.svc.Config().MaxBodyBytes)
-	dec := json.NewDecoder(body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		m.BadRequests.Add(1)
-		w.writeError(rw, http.StatusBadRequest, fmt.Sprintf("decoding batch request: %v", err))
-		return
-	}
-	kind, err := service.ParseKind(req.Kind)
-	if err != nil {
-		m.BadRequests.Add(1)
-		w.writeError(rw, http.StatusBadRequest, err.Error())
-		return
-	}
-	if len(req.Items) == 0 {
-		m.BadRequests.Add(1)
-		w.writeError(rw, http.StatusBadRequest, "empty batch")
-		return
-	}
-	if len(req.Items) > w.svc.Config().MaxBatch {
-		m.BadRequests.Add(1)
-		w.writeError(rw, http.StatusBadRequest,
-			fmt.Sprintf("batch carries %d graphs, limit %d", len(req.Items), w.svc.Config().MaxBatch))
-		return
-	}
-	w.writeJSON(rw, http.StatusOK, w.runBatch(kind, req.Items))
-}
-
-// peerFill consults the replica owners' caches for a key missing
-// locally, in replica order, seeding the local cache from the first
-// hit. Returns whether the local cache was seeded. During a handoff
-// window the previous view's owners are consulted after the current
-// ones: an entry whose range just moved may not have streamed to its
-// new owner yet, but the old owner still holds it — reads fall back
+// Fill implements service.Tier: it consults the replica owners' caches
+// for a key missing locally, in replica order, seeding the local cache
+// from the first hit. Returns whether the local cache was seeded. During
+// a handoff window the previous view's owners are consulted after the
+// current ones: an entry whose range just moved may not have streamed to
+// its new owner yet, but the old owner still holds it — reads fall back
 // old-owner→new-owner, so a reshard never exposes a cold cache. The
 // request's trace ID (when tr is non-nil) rides each lookup so the hops
 // are attributable to their cluster request.
-func (w *Worker) peerFill(p *service.Prepared, tr *obs.Trace) bool {
-	if w.topo == nil || w.cfg.DisablePeerFill || p.NoCache() {
-		return false
-	}
-	if w.svc.CacheContains(p.Key()) {
+func (w *Worker) Fill(p *service.Prepared, tr *obs.Trace) bool {
+	if w.topo == nil {
 		return false
 	}
 	tried := map[string]bool{w.cfg.Self: true}
@@ -522,14 +286,14 @@ func (w *Worker) peerFillFrom(owner string, p *service.Prepared, tr *obs.Trace) 
 	return true
 }
 
-// pushToOwners sends a freshly computed entry to every member of its
-// hash's replica set, so each of the R owners accumulates the cluster
-// working set no matter which worker the traffic hit — and a later read
-// answered by any replica sees the write (read-your-writes).
-// Synchronous and best-effort: a failed push costs a future peer-fill
-// miss, nothing else.
-func (w *Worker) pushToOwners(p *service.Prepared, disposition string, tr *obs.Trace) {
-	if w.topo == nil || w.cfg.DisablePeerFill || p.NoCache() || disposition != "miss" {
+// Computed implements service.Tier: it sends a freshly computed entry
+// to every member of its hash's replica set, so each of the R owners
+// accumulates the cluster working set no matter which worker the traffic
+// hit — and a later read answered by any replica sees the write
+// (read-your-writes). Synchronous and best-effort: a failed push costs a
+// future peer-fill miss, nothing else.
+func (w *Worker) Computed(p *service.Prepared, tr *obs.Trace) {
+	if w.topo == nil {
 		return
 	}
 	data, ok := w.svc.CachePeek(p.Key())
@@ -739,8 +503,8 @@ func (w *Worker) handleMetrics(rw http.ResponseWriter, r *http.Request) {
 	fmt.Fprintf(rw, "regcoal_cluster_lane_depth{lane=\"heavy\"} %d\n", cs.HeavyLaneDepth)
 }
 
-// The write helpers mirror the service's: marshal once, write exact
-// bytes, nothing non-deterministic in a body.
+// The write helpers serve the worker's own routes: marshal once, write
+// exact bytes, nothing non-deterministic in a body.
 
 func (w *Worker) writeJSON(rw http.ResponseWriter, status int, v any) {
 	data, err := json.Marshal(v)

@@ -21,8 +21,10 @@ package service
 // sessions) answer structured 4xx JSON — never a 5xx, never a panic.
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
+	"io"
 	"net/http"
 
 	"regcoal/internal/graph"
@@ -141,29 +143,29 @@ func (s *Server) handleDelta(w http.ResponseWriter, r *http.Request) {
 	s.metrics.InFlight.Add(1)
 	defer s.metrics.InFlight.Add(-1)
 
-	tr := s.StartTrace(obs.EndpointDelta, r)
-	defer s.FinishTrace(tr)
+	tr := s.startTrace(obs.EndpointDelta, r)
+	defer s.finishTrace(tr)
 	w.Header().Set(TraceIDHeader, tr.ID.String())
 	fail := func(err error) {
 		err = sessionError(err)
-		if ErrorStatus(err) == http.StatusBadRequest {
-			s.metrics.BadRequests.Add(1)
-		}
 		tr.Status = ErrorStatus(err)
 		s.writeError(w, err)
 	}
 
+	// The verbatim body is kept: a tier replicates it as the op log.
 	tr.BeginPhase(obs.PhaseDecode)
 	var req DeltaRequest
-	body := http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
-	dec := json.NewDecoder(body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		tr.EndPhase()
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
+	if err == nil {
+		dec := json.NewDecoder(bytes.NewReader(body))
+		dec.DisallowUnknownFields()
+		err = dec.Decode(&req)
+	}
+	tr.EndPhase()
+	if err != nil {
 		fail(badRequest("decoding delta request: %v", err))
 		return
 	}
-	tr.EndPhase()
 
 	var resp *DeltaResponse
 	switch req.Op {
@@ -209,6 +211,7 @@ func (s *Server) handleDelta(w http.ResponseWriter, r *http.Request) {
 			fail(badRequest("delta requires a session_id"))
 			return
 		}
+		s.ensureLive(req.SessionID)
 		if req.BaseHash != "" {
 			sess, err := s.sessions.Get(req.SessionID)
 			if err != nil {
@@ -246,6 +249,7 @@ func (s *Server) handleDelta(w http.ResponseWriter, r *http.Request) {
 			fail(badRequest("close requires a session_id"))
 			return
 		}
+		s.ensureLive(req.SessionID)
 		if err := s.sessions.Close(req.SessionID); err != nil {
 			fail(err)
 			return
@@ -267,8 +271,24 @@ func (s *Server) handleDelta(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, `{"error":"encoding response"}`, http.StatusInternalServerError)
 		return
 	}
+	if s.tier != nil {
+		// Before answering: once the client has seen success, the op
+		// must already be recoverable elsewhere.
+		s.tier.SessionApplied(&req, body, resp)
+	}
 	if h := obs.BuildPhasesHeader(tr); h != "" {
 		w.Header().Set(PhasesHeader, h)
 	}
 	s.writeRaw(w, http.StatusOK, data)
+}
+
+// ensureLive lets the tier rebuild a session that is not live here (a
+// failover onto a replica holding its op log) before an op addresses it.
+func (s *Server) ensureLive(id string) {
+	if s.tier == nil {
+		return
+	}
+	if _, err := s.sessions.Get(id); err != nil {
+		s.tier.SessionMissing(id)
+	}
 }

@@ -16,7 +16,7 @@ import (
 func (s *Server) CacheKeys() []string { return s.cache.Keys() }
 
 // KeyRoutingHash extracts the canonical routing hash from a cache key.
-// Keys have the shape "kind|strategies|hash" (see Prepare); the hash is
+// Keys have the shape "kind|strategies|hash" (see prepare); the hash is
 // everything after the last separator — strategies are comma-joined and
 // never contain one.
 func KeyRoutingHash(key string) string {

@@ -1,21 +1,19 @@
 package service
 
-// The two-step solve API the HTTP handlers are built on, exported so the
-// cluster worker (internal/cluster) reuses the exact handler logic
-// instead of re-implementing it behind a recorder:
+// The solve pipeline every solve and batch request runs through:
 //
-//	p, err := s.Prepare(kind, req)      // parse, validate, canonicalize
-//	body, disp, err := s.SolvePrepared(p)  // cache → singleflight → race
+//	p, err := s.prepare(kind, req, tr)               // parse, validate, canonicalize
+//	out, disp, filled, err := s.solve(p, tr, admit)  // cache → Fill → singleflight → Admit → race
 //
-// Prepare is the expensive decode side (graph build + Weisfeiler-Leman
-// canonicalization); SolvePrepared is the answer side. Splitting them
-// lets a batch endpoint amortize preparation across a connection and
-// lets cluster nodes consult the Prepared's canonical hash for routing
-// and tiered caching before committing compute.
+// prepare is the expensive decode side (graph build + Weisfeiler-Leman
+// canonicalization); solve is the answer side. A distribution tier (the
+// cluster worker in internal/cluster) joins the pipeline through the
+// Tier hook installed with SetTier instead of wrapping the handlers: it
+// sees each Prepared's canonical hash, cache key and size at fixed
+// points, and never the response bytes.
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"net/http"
 	"runtime/pprof"
@@ -27,9 +25,35 @@ import (
 	"regcoal/internal/obs"
 )
 
+// Tier is the hook a distribution tier installs into the pipeline with
+// Server.SetTier (the cluster worker: peer fill, admission lanes,
+// push-on-compute and session replication). The service calls it at
+// five points; a Server without a tier behaves as a single node.
+type Tier interface {
+	// Fill runs after a local cache miss and may seed the local cache
+	// from a peer (CacheSeed); it reports whether it did.
+	Fill(p *Prepared, tr *obs.Trace) bool
+	// Admit gates a single solve about to compute — not hits, not
+	// requests collapsing onto a running race, not batch items. It
+	// returns the slot's release, or an error (see Error) to answer with.
+	Admit(p *Prepared) (release func(), err error)
+	// Computed runs after the request led a fresh race whose answer
+	// entered the cache.
+	Computed(p *Prepared, tr *obs.Trace)
+	// SessionMissing runs before a delta or close op on a session that is
+	// not live here, so the tier can rebuild it.
+	SessionMissing(id string)
+	// SessionApplied runs after a session op succeeded, before its
+	// response is written; body is the verbatim request body.
+	SessionApplied(req *DeltaRequest, body []byte, resp *DeltaResponse)
+}
+
+// SetTier installs t into the request pipeline. Call before serving.
+func (s *Server) SetTier(t Tier) { s.tier = t }
+
 // Prepared is a parsed, validated, canonicalized solve request, ready to
-// be answered by SolvePrepared. It is immutable after Prepare and safe
-// to share across goroutines.
+// be answered by solve. It is immutable after prepare and safe to share
+// across goroutines.
 type Prepared struct {
 	kind       Kind
 	inst       *graph.File
@@ -39,9 +63,6 @@ type Prepared struct {
 	deadlineMS int64
 	noCache    bool
 }
-
-// Kind reports which portfolio the request races.
-func (p *Prepared) Kind() Kind { return p.kind }
 
 // Key is the canonical cache key: kind, normalized strategy list, and
 // canonical graph hash. Identical keys get identical response bodies.
@@ -54,9 +75,6 @@ func (p *Prepared) Hash() string { return p.canon.Hash }
 // Vertices reports the instance size.
 func (p *Prepared) Vertices() int { return p.inst.G.N() }
 
-// Edges reports the instance's interference edge count.
-func (p *Prepared) Edges() int { return p.inst.G.E() }
-
 // Density is the instance's edge density in [0,1]: E / (N choose 2).
 func (p *Prepared) Density() float64 {
 	n := p.inst.G.N()
@@ -66,38 +84,27 @@ func (p *Prepared) Density() float64 {
 	return float64(p.inst.G.E()) / (float64(n) * float64(n-1) / 2)
 }
 
-// NoCache reports whether the request asked to bypass the result cache.
-func (p *Prepared) NoCache() bool { return p.noCache }
-
-// Prepare parses and validates a single-graph request into a Prepared:
+// prepare parses and validates a single-graph request into a Prepared:
 // graph decode, register-count resolution, size cap, strategy validation,
-// freeze, and canonicalization. Errors carry HTTP status (ErrorStatus)
-// and count toward the bad-request metric exactly as the HTTP handlers
-// do.
-func (s *Server) Prepare(kind Kind, req *Request) (*Prepared, error) {
-	return s.PrepareTraced(kind, req, nil)
-}
-
-// PrepareTraced is Prepare with span capture: the canonicalization phase
-// is recorded onto tr (any phase open on entry — typically decode — is
-// closed when canon begins). tr may be nil.
-func (s *Server) PrepareTraced(kind Kind, req *Request, tr *obs.Trace) (*Prepared, error) {
+// freeze, and canonicalization. Every error is a 400. The canonicalization
+// phase is recorded onto tr (nil ok), closing any phase open on entry.
+func (s *Server) prepare(kind Kind, req *Request, tr *obs.Trace) (*Prepared, error) {
 	if req.Graph == nil {
-		return nil, s.countBad(badRequest("missing graph"))
+		return nil, badRequest("missing graph")
 	}
 	f, ferr := req.Graph.ToFile()
 	if ferr != nil {
-		return nil, s.countBad(badRequest("%v", ferr))
+		return nil, badRequest("%v", ferr)
 	}
 	k := f.K
 	if req.K > 0 {
 		k = req.K
 	}
 	if k <= 0 {
-		return nil, s.countBad(badRequest("no register count: set k in the request or the graph payload"))
+		return nil, badRequest("no register count: set k in the request or the graph payload")
 	}
 	if f.G.N() > s.cfg.MaxVertices {
-		return nil, s.countBad(badRequest("graph has %d vertices, limit %d", f.G.N(), s.cfg.MaxVertices))
+		return nil, badRequest("graph has %d vertices, limit %d", f.G.N(), s.cfg.MaxVertices)
 	}
 	// Freeze the parsed graph: every portfolio racer reads this one
 	// instance concurrently — a shared read-only snapshot instead of a
@@ -111,19 +118,17 @@ func (s *Server) PrepareTraced(kind Kind, req *Request, tr *obs.Trace) (*Prepare
 	}
 	strategies = normalizeStrategies(strategies)
 	// Validate up front so bad names are 400s, not queued work.
+	var err error
 	switch kind {
 	case KindCoalesce:
-		if _, err := s.coalesceRacers(inst, strategies); err != nil {
-			return nil, s.countBad(badRequest("%v", err))
-		}
+		_, err = s.coalesceRacers(inst, strategies)
 	case KindAllocate:
-		if _, err := allocateRacers(inst, strategies); err != nil {
-			return nil, s.countBad(badRequest("%v", err))
-		}
+		_, err = allocateRacers(inst, strategies)
 	case KindSpill:
-		if _, err := s.spillRacers(inst, strategies); err != nil {
-			return nil, s.countBad(badRequest("%v", err))
-		}
+		_, err = s.spillRacers(inst, strategies)
+	}
+	if err != nil {
+		return nil, badRequest("%v", err)
 	}
 
 	tr.BeginPhase(obs.PhaseCanon)
@@ -140,63 +145,49 @@ func (s *Server) PrepareTraced(kind Kind, req *Request, tr *obs.Trace) (*Prepare
 	}, nil
 }
 
-// SolvePrepared answers a prepared request with the exact JSON bytes the
-// HTTP handler writes, plus the cache disposition ("hit", "miss", or
-// "collapse" when the answer was shared from a concurrent identical
-// request's race).
-func (s *Server) SolvePrepared(p *Prepared) (body []byte, disposition string, err error) {
-	return s.SolvePreparedTraced(p, nil)
-}
-
-// SolvePreparedTraced is SolvePrepared with span capture: cache lookup,
-// portfolio race (with the full member timeline when this request leads
-// the computation), and response encoding are recorded onto tr. tr may
-// be nil; the rendered bytes are identical either way.
-func (s *Server) SolvePreparedTraced(p *Prepared, tr *obs.Trace) (body []byte, disposition string, err error) {
-	out, disposition, err := s.solvePreparedAny(p, tr)
-	if err != nil {
-		return nil, "", err
-	}
-	tr.BeginPhase(obs.PhaseEncode)
-	data, merr := json.Marshal(out)
-	tr.EndPhase()
-	if merr != nil {
-		s.metrics.Errors.Add(1)
-		return nil, "", &httpError{status: http.StatusInternalServerError, msg: "encoding response"}
-	}
-	return data, disposition, nil
-}
-
-// solvePreparedAny answers a prepared request as a typed result: consult
-// the cache, collapse concurrent identical misses into one computation
-// via the singleflight group, or compute on the pool under the request
-// deadline. Leader-only bookkeeping (deadline-hit and strategy-win
+// solve answers a prepared request as a typed result plus its cache
+// disposition ("hit", "miss", or "collapse" when the answer was shared
+// from a concurrent identical request's race) and whether a hit was
+// filled from a peer: consult the cache, then the tier's peer fill,
+// collapse concurrent identical misses into one computation via the
+// singleflight group, or compute on the pool under the request deadline.
+// Leader-only bookkeeping (admission, deadline-hit and strategy-win
 // counters, the cache insert) happens inside the flight so a collapse of
-// n requests records one race, not n.
-func (s *Server) solvePreparedAny(p *Prepared, tr *obs.Trace) (out any, disposition string, err error) {
+// n requests costs one slot and records one race, not n. admit applies
+// the tier's admission lanes (single solves, not batch items). tr may be
+// nil; the rendered answer is identical either way.
+func (s *Server) solve(p *Prepared, tr *obs.Trace, admit bool) (out any, disposition string, filled bool, err error) {
 	if p.noCache {
 		// no_cache means "compute fresh": no cache lookup or insert, and
 		// no collapsing onto someone else's race.
-		e, cerr := s.computeOnPool(p, tr)
+		e, cerr := s.computeOnPool(p, tr, admit)
 		if cerr != nil {
-			return nil, "", cerr
+			return nil, "", false, cerr
 		}
 		s.recordComputed(e, tr)
-		return s.render(p.kind, p.inst, p.canon, e), "miss", nil
+		return s.render(p.kind, p.inst, p.canon, e), "miss", false, nil
 	}
 	tr.BeginPhase(obs.PhaseCache)
 	e, hit := s.cache.Get(p.key)
 	tr.EndPhase()
+	if !hit && s.tier != nil {
+		tr.BeginPhase(obs.PhasePeer)
+		if s.tier.Fill(p, tr) {
+			e, hit = s.cache.Get(p.key)
+			filled = hit
+		}
+		tr.EndPhase()
+	}
 	if hit {
 		s.metrics.CacheHits.Add(1)
 		noteEntry(tr, &e)
-		return s.render(p.kind, p.inst, p.canon, &e), "hit", nil
+		return s.render(p.kind, p.inst, p.canon, &e), "hit", filled, nil
 	}
 	// Misses count only consulted lookups: no_cache requests never touch
 	// the cache and must not skew the hit rate.
 	s.metrics.CacheMisses.Add(1)
 	v, ferr, shared := s.flights.Do(p.key, func() (any, error) {
-		e, cerr := s.computeOnPool(p, tr)
+		e, cerr := s.computeOnPool(p, tr, admit)
 		if cerr != nil {
 			return nil, cerr
 		}
@@ -205,7 +196,7 @@ func (s *Server) solvePreparedAny(p *Prepared, tr *obs.Trace) (out any, disposit
 		return e, nil
 	})
 	if ferr != nil {
-		return nil, "", ferr
+		return nil, "", false, ferr
 	}
 	ce := v.(*entry)
 	if shared {
@@ -216,9 +207,12 @@ func (s *Server) solvePreparedAny(p *Prepared, tr *obs.Trace) (out any, disposit
 		// trace still learns the shared race's winner, just not its member
 		// timeline (that belongs to the leader's trace).
 		noteEntry(tr, ce)
-		return s.render(p.kind, p.inst, p.canon, ce), "collapse", nil
+		return s.render(p.kind, p.inst, p.canon, ce), "collapse", false, nil
 	}
-	return s.render(p.kind, p.inst, p.canon, ce), "miss", nil
+	if s.tier != nil {
+		s.tier.Computed(p, tr)
+	}
+	return s.render(p.kind, p.inst, p.canon, ce), "miss", false, nil
 }
 
 // noteEntry stamps an answer's provenance — winning strategy and whether
@@ -240,12 +234,19 @@ func (s *Server) recordComputed(e *entry, tr *obs.Trace) {
 }
 
 // computeOnPool schedules the portfolio race on the worker pool under the
-// request deadline and maps pool saturation to 429. The race phase span
-// covers queue wait plus the race itself; the solve goroutine carries
-// pprof labels (endpoint, family) so CPU profiles attribute time to
-// traffic shape, and each portfolio member adds its own strategy label
-// on top (see race).
-func (s *Server) computeOnPool(p *Prepared, tr *obs.Trace) (*entry, error) {
+// request deadline and maps pool saturation to 429; with admit set, the
+// tier's admission lanes gate it first. The race phase span covers queue
+// wait plus the race itself; the solve goroutine carries pprof labels
+// (endpoint, family) so CPU profiles attribute time to traffic shape, and
+// each portfolio member adds its own strategy label on top (see race).
+func (s *Server) computeOnPool(p *Prepared, tr *obs.Trace, admit bool) (*entry, error) {
+	if admit && s.tier != nil {
+		release, err := s.tier.Admit(p)
+		if err != nil {
+			return nil, err
+		}
+		defer release()
+	}
 	deadline := s.cfg.DefaultDeadline
 	if p.deadlineMS > 0 {
 		deadline = time.Duration(p.deadlineMS) * time.Millisecond
@@ -333,12 +334,6 @@ func (s *Server) compute(p *Prepared, deadline time.Duration, tr *obs.Trace) (*e
 	}
 	return coalesceEntry(inst, canon.Perm, best, winner, hit), nil
 }
-
-// FlightInProgress reports whether a solve for key is currently racing:
-// a request issued now would collapse onto it instead of computing.
-// Exported for the cluster worker's admission control, which exempts
-// collapsing requests from lane slots — they cost no compute.
-func (s *Server) FlightInProgress(key string) bool { return s.flights.InFlight(key) }
 
 // RoutingHash computes the canonical graph hash of a single-graph
 // request — the key a cluster router shards by. It returns "" when the

@@ -24,11 +24,10 @@
 // Overload surfaces as backpressure: when the bounded submission queue is
 // full, requests are rejected with 429 instead of queueing without bound.
 //
-// The solve path is exposed to embedders (the cluster worker in
-// internal/cluster) in two steps: Prepare parses and canonicalizes a
-// request into a Prepared carrying the cache key, and SolvePrepared
-// answers it — cache, singleflight, pool and rendering included — as the
-// exact bytes the HTTP handler would write. See prepared.go.
+// These handlers are the only request pipeline: the cluster worker in
+// internal/cluster joins it through the Tier hook (peer fill, admission,
+// push-on-compute, session replication) rather than wrapping it. See
+// prepared.go.
 package service
 
 import (
@@ -158,6 +157,7 @@ type Server struct {
 	mux      *http.ServeMux
 	flights  singleflight.Group
 	sessions *session.Store
+	tier     Tier // nil on a single node; see SetTier
 
 	draining  atomic.Bool
 	baseCtx   context.Context
@@ -288,10 +288,12 @@ type httpError struct {
 
 func (e *httpError) Error() string { return e.msg }
 
+// Error builds an error that the handlers answer with the given status
+// and {"error": msg} body — how a Tier rejects a request.
+func Error(status int, msg string) error { return &httpError{status: status, msg: msg} }
+
 // ErrorStatus maps a solve-path error to its HTTP status (500 when the
-// error carries none). Embedders writing their own responses (the
-// cluster worker) use it to answer with the same codes the service's own
-// handlers would.
+// error carries none).
 func ErrorStatus(err error) int {
 	he := &httpError{}
 	if errors.As(err, &he) {
@@ -304,8 +306,8 @@ func badRequest(format string, args ...any) *httpError {
 	return &httpError{status: http.StatusBadRequest, msg: fmt.Sprintf(format, args...)}
 }
 
-// EndpointOf maps a solve kind to its observability endpoint.
-func EndpointOf(kind Kind) obs.Endpoint {
+// endpointOf maps a solve kind to its observability endpoint.
+func endpointOf(kind Kind) obs.Endpoint {
 	switch kind {
 	case KindAllocate:
 		return obs.EndpointAllocate
@@ -315,24 +317,21 @@ func EndpointOf(kind Kind) obs.Endpoint {
 	return obs.EndpointCoalesce
 }
 
-// StartTrace begins a pooled trace for one request: the propagated
+// startTrace begins a pooled trace for one request: the propagated
 // X-Regcoal-Trace-Id is adopted when present (a fresh ID is minted
-// otherwise) and the X-Regcoal-Family label is captured. Exported for
-// the cluster worker, which runs the same solve path behind its own mux.
-func (s *Server) StartTrace(e obs.Endpoint, r *http.Request) *obs.Trace {
+// otherwise), so one ID names a request across router, worker, and
+// peer-fill hops; the X-Regcoal-Family label is captured.
+func (s *Server) startTrace(e obs.Endpoint, r *http.Request) *obs.Trace {
 	id, _ := obs.ParseTraceID(r.Header.Get(TraceIDHeader))
 	tr := s.tracer.Start(e, id)
 	tr.Family = r.Header.Get(FamilyHeader)
 	return tr
 }
 
-// FinishTrace closes the trace, feeds its end-to-end and per-phase
+// finishTrace closes the trace, feeds its end-to-end and per-phase
 // durations into the latency histograms, and files it into the
 // recent/slow rings. Allocation-free in steady state.
-func (s *Server) FinishTrace(tr *obs.Trace) {
-	if tr == nil {
-		return
-	}
+func (s *Server) finishTrace(tr *obs.Trace) {
 	tr.EndPhase()
 	for i := 0; i < tr.NPhases; i++ {
 		sp := &tr.Phases[i]
@@ -349,13 +348,26 @@ func (s *Server) Tracer() *obs.Tracer { return s.tracer }
 // Latency exposes the latency histogram set (for embedders and tests).
 func (s *Server) Latency() *obs.Set { return s.lat }
 
-// TraceWanted reports whether the request opted into a full solve
+// traceWanted reports whether the request opted into a full solve
 // timeline in the response body (?trace=1 or X-Regcoal-Trace: 1).
-func TraceWanted(r *http.Request) bool {
+func traceWanted(r *http.Request) bool {
 	return r.URL.Query().Get("trace") == "1" || r.Header.Get(TraceHeader) == "1"
 }
 
+// tierHeader names where a clustered answer came from: this node's
+// cache, a peer's, or a computation.
+func tierHeader(disposition string, filled bool) string {
+	switch {
+	case disposition != "hit":
+		return "compute"
+	case filled:
+		return "peer"
+	}
+	return "local"
+}
+
 func (s *Server) handleSolve(kind Kind) http.HandlerFunc {
+	endpoint := endpointOf(kind)
 	return func(w http.ResponseWriter, r *http.Request) {
 		if r.Method != http.MethodPost {
 			s.writeError(w, &httpError{status: http.StatusMethodNotAllowed, msg: "POST required"})
@@ -372,8 +384,8 @@ func (s *Server) handleSolve(kind Kind) http.HandlerFunc {
 		s.metrics.InFlight.Add(1)
 		defer s.metrics.InFlight.Add(-1)
 
-		tr := s.StartTrace(EndpointOf(kind), r)
-		defer s.FinishTrace(tr)
+		tr := s.startTrace(endpoint, r)
+		defer s.finishTrace(tr)
 		w.Header().Set(TraceIDHeader, tr.ID.String())
 		fail := func(err error) {
 			tr.Status = ErrorStatus(err)
@@ -389,55 +401,41 @@ func (s *Server) handleSolve(kind Kind) http.HandlerFunc {
 			fail(badRequest("decoding request: %v", err))
 			return
 		}
-
-		if len(req.Batch) > 0 {
-			if req.Graph != nil {
-				fail(badRequest("use either graph or batch, not both"))
-				return
-			}
-			if len(req.Batch) > s.cfg.MaxBatch {
-				fail(badRequest("batch carries %d graphs, limit %d", len(req.Batch), s.cfg.MaxBatch))
-				return
-			}
-			tr.EndPhase()
-			resp := s.runBatch(kind, req.Batch)
-			tr.BeginPhase(obs.PhaseEncode)
-			data, err := json.Marshal(resp)
-			tr.EndPhase()
-			if err != nil {
-				s.metrics.Errors.Add(1)
-				tr.Status = http.StatusInternalServerError
-				http.Error(w, `{"error":"encoding response"}`, http.StatusInternalServerError)
-				return
-			}
-			tr.Status = http.StatusOK
-			s.writeRaw(w, http.StatusOK, data)
-			return
-		}
-		p, err := s.PrepareTraced(kind, &req, tr)
+		p, err := s.prepare(kind, &req, tr)
 		if err != nil {
 			fail(err)
 			return
 		}
-		body2, disposition, err := s.SolvePreparedTraced(p, tr)
+		out, disposition, filled, err := s.solve(p, tr, true)
 		if err != nil {
 			fail(err)
+			return
+		}
+		tr.BeginPhase(obs.PhaseEncode)
+		data, err := json.Marshal(out)
+		tr.EndPhase()
+		if err != nil {
+			s.metrics.Errors.Add(1)
+			fail(&httpError{status: http.StatusInternalServerError, msg: "encoding response"})
 			return
 		}
 		tr.Cache = disposition
 		tr.Status = http.StatusOK
 		w.Header().Set("X-Regcoal-Cache", disposition)
+		if s.tier != nil {
+			w.Header().Set("X-Regcoal-Tier", tierHeader(disposition, filled))
+		}
 		if h := obs.BuildPhasesHeader(tr); h != "" {
 			w.Header().Set(PhasesHeader, h)
 		}
-		if TraceWanted(r) {
+		if traceWanted(r) {
 			// Opt-in only: the spliced body is the one deliberate departure
 			// from byte-identity, and the splice leaves every preceding byte
 			// untouched.
 			tr.DurNS = tr.Since()
-			body2 = obs.SpliceTraceJSON(body2, tr)
+			data = obs.SpliceTraceJSON(data, tr)
 		}
-		s.writeRaw(w, http.StatusOK, body2)
+		s.writeRaw(w, http.StatusOK, data)
 	}
 }
 
@@ -511,42 +509,30 @@ func (s *Server) runBatch(kind Kind, items []Request) *BatchResponse {
 	return resp
 }
 
-// solveBatchItem answers one batch element as an in-place entry.
+// solveBatchItem answers one batch element as an in-place entry: the
+// single-solve pipeline without admission (the fan-out is already bounded
+// by the pool queue, whose saturation surfaces per entry). A malformed
+// element counts as a bad request.
 func (s *Server) solveBatchItem(kind Kind, sub *Request) BatchEntry {
-	if len(sub.Batch) > 0 {
-		return BatchEntry{Error: "batch elements must not nest batches"}
+	p, err := s.prepare(kind, sub, nil)
+	if err != nil {
+		s.metrics.BadRequests.Add(1)
+		return BatchEntry{Error: err.Error()}
 	}
-	p, err := s.Prepare(kind, sub)
+	out, _, _, err := s.solve(p, nil, false)
 	if err != nil {
 		return BatchEntry{Error: err.Error()}
 	}
-	e, _ := s.SolveBatchEntry(p)
-	return e
-}
-
-// SolveBatchEntry answers a prepared request as a batch entry plus the
-// cache disposition ("hit", "miss", "collapse", or "" on error). Exported
-// for the cluster worker, which prepares items itself to consult the
-// tiered cache before solving.
-func (s *Server) SolveBatchEntry(p *Prepared) (BatchEntry, string) {
-	out, disposition, err := s.solvePreparedAny(p, nil)
-	if err != nil {
-		return BatchEntry{Error: err.Error()}, ""
-	}
 	switch v := out.(type) {
 	case *CoalesceResult:
-		return BatchEntry{Coalesce: v}, disposition
+		return BatchEntry{Coalesce: v}
 	case *AllocateResult:
-		return BatchEntry{Allocate: v}, disposition
+		return BatchEntry{Allocate: v}
 	case *SpillResult:
-		return BatchEntry{Spill: v}, disposition
+		return BatchEntry{Spill: v}
 	}
-	return BatchEntry{Error: "internal: unknown result type"}, ""
+	return BatchEntry{Error: "internal: unknown result type"}
 }
-
-// RunBatch answers a legacy in-request batch (Request.Batch) with bounded
-// pool fan-out. Exported for the cluster worker's solve endpoints.
-func (s *Server) RunBatch(kind Kind, items []Request) *BatchResponse { return s.runBatch(kind, items) }
 
 func (s *Server) render(kind Kind, inst *graph.File, canon *graph.Canonical, e *entry) any {
 	switch kind {
@@ -556,11 +542,6 @@ func (s *Server) render(kind Kind, inst *graph.File, canon *graph.Canonical, e *
 		return renderSpill(inst, canon.Hash, canon.Perm, e)
 	}
 	return renderCoalesce(inst, canon.Hash, canon.Perm, e)
-}
-
-func (s *Server) countBad(e *httpError) *httpError {
-	s.metrics.BadRequests.Add(1)
-	return e
 }
 
 func (s *Server) handleLivez(w http.ResponseWriter, r *http.Request) {
@@ -625,10 +606,16 @@ func (s *Server) writeRaw(w http.ResponseWriter, status int, data []byte) {
 	w.Write(data)
 }
 
+// writeError answers err as its status and {"error"} body. Every 400 the
+// handlers write passes through here, so this is where bad requests are
+// counted — once each.
 func (s *Server) writeError(w http.ResponseWriter, err error) {
 	he := &httpError{}
 	if !errors.As(err, &he) {
 		he = &httpError{status: http.StatusInternalServerError, msg: err.Error()}
+	}
+	if he.status == http.StatusBadRequest {
+		s.metrics.BadRequests.Add(1)
 	}
 	s.writeJSON(w, he.status, ErrorResponse{Error: he.msg})
 }

@@ -150,21 +150,24 @@ func TestBadRequests(t *testing.T) {
 		"unknown strategy": `{"graph":{"text":"k 2\nnode a\n"},"strategies":["nope"]}`,
 		"bad payload":      `{"graph":{"text":"wat 1 2\n"}}`,
 		"two encodings":    `{"graph":{"text":"k 2\nnode a\n","dimacs":"p edge 1 0\n"}}`,
-		"graph and batch":  `{"graph":{"text":"k 2\nnode a\n"},"batch":[{}]}`,
-		"nested batch":     `{"batch":[{"batch":[{}]}]}`,
+		"legacy batch":     `{"batch":[{}]}`,
 		"unknown field":    `{"graf":{}}`,
 	}
 	for name, body := range cases {
 		resp, out := post(t, ts.URL+"/v1/coalesce", body)
-		want := http.StatusBadRequest
-		if name == "nested batch" {
-			want = http.StatusOK // reported per element
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("%s: status %d (%s), want 400", name, resp.StatusCode, out)
 		}
-		if resp.StatusCode != want {
-			t.Errorf("%s: status %d (%s), want %d", name, resp.StatusCode, out, want)
-		}
-		if name == "nested batch" && !bytes.Contains(out, []byte("must not nest")) {
-			t.Errorf("nested batch: %s", out)
+	}
+	// /v1/batch is the only batch surface: a graph beside the items and a
+	// batch nested in an item are both unknown fields.
+	for name, body := range map[string]string{
+		"graph and batch": `{"graph":{"text":"k 2\nnode a\n"},"items":[{}]}`,
+		"nested batch":    `{"items":[{"batch":[{}]}]}`,
+	} {
+		resp, out := post(t, ts.URL+"/v1/batch", body)
+		if resp.StatusCode != http.StatusBadRequest || !bytes.Contains(out, []byte("unknown field")) {
+			t.Errorf("%s: status %d (%s), want an unknown-field 400", name, resp.StatusCode, out)
 		}
 	}
 	resp, err := http.Get(ts.URL + "/v1/coalesce")
@@ -179,9 +182,9 @@ func TestBadRequests(t *testing.T) {
 
 func TestBatch(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
-	body := fmt.Sprintf(`{"batch":[%s,{"graph":{"text":"k 1\nnode a\n"}},{"graph":{"text":"edge a a\n"}}]}`,
+	body := fmt.Sprintf(`{"items":[%s,{"graph":{"text":"k 1\nnode a\n"}},{"graph":{"text":"edge a a\n"}}]}`,
 		pathInstance)
-	resp, out := post(t, ts.URL+"/v1/coalesce", body)
+	resp, out := post(t, ts.URL+"/v1/batch", body)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d: %s", resp.StatusCode, out)
 	}
@@ -205,8 +208,8 @@ func TestBatch(t *testing.T) {
 
 func TestBatchSizeLimit(t *testing.T) {
 	_, ts := newTestServer(t, Config{MaxBatch: 2})
-	body := fmt.Sprintf(`{"batch":[%s,%s,%s]}`, pathInstance, pathInstance, pathInstance)
-	resp, out := post(t, ts.URL+"/v1/coalesce", body)
+	body := fmt.Sprintf(`{"items":[%s,%s,%s]}`, pathInstance, pathInstance, pathInstance)
+	resp, out := post(t, ts.URL+"/v1/batch", body)
 	if resp.StatusCode != http.StatusBadRequest || !bytes.Contains(out, []byte("limit 2")) {
 		t.Fatalf("oversized batch: %d %s", resp.StatusCode, out)
 	}

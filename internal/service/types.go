@@ -129,8 +129,8 @@ func (s *GraphSpec) toNativeFile() (*graph.File, error) {
 	return &graph.File{G: g, K: s.K}, nil
 }
 
-// Request is the body of POST /v1/coalesce and POST /v1/allocate. Either
-// Graph (single instance) or Batch (many) must be set.
+// Request is the body of POST /v1/coalesce, /v1/allocate and /v1/spill,
+// and one item of a POST /v1/batch.
 type Request struct {
 	Graph *GraphSpec `json:"graph,omitempty"`
 	// K overrides the register count carried by the graph encoding.
@@ -143,9 +143,6 @@ type Request struct {
 	Strategies []string `json:"strategies,omitempty"`
 	// NoCache bypasses the result cache for this request.
 	NoCache bool `json:"no_cache,omitempty"`
-	// Batch dispatches each element as its own job on the worker pool and
-	// collects all results. Elements must not themselves carry batches.
-	Batch []Request `json:"batch,omitempty"`
 }
 
 // CoalesceResult is the body of a successful /v1/coalesce response.

@@ -86,10 +86,3 @@ func (s *Server) CacheSeed(key string, data []byte) error {
 	})
 	return nil
 }
-
-// CacheContains reports whether key is resident without touching LRU
-// order or counters' semantics beyond Get's recency refresh.
-func (s *Server) CacheContains(key string) bool {
-	_, ok := s.cache.Get(key)
-	return ok
-}

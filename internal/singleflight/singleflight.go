@@ -83,16 +83,6 @@ func (g *Group) release(key string, c *call) {
 	c.wg.Done()
 }
 
-// InFlight reports whether a call for key is currently executing. A true
-// result means a Do(key, ...) issued now would (very likely) collapse
-// onto the in-flight leader rather than compute.
-func (g *Group) InFlight(key string) bool {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	_, ok := g.m[key]
-	return ok
-}
-
 // Waiters reports how many followers are currently blocked on key's
 // in-flight call (0 when no call is in flight). Used by tests to
 // deterministically observe a collapse in progress.
