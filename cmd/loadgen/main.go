@@ -174,8 +174,7 @@ func main() {
 	}
 	if *stats {
 		for _, target := range targets {
-			if snapshot, err := loadgen.FetchStats(context.Background(), nil, target); err == nil {
-				body, _ := json.Marshal(snapshot)
+			if body, err := loadgen.FetchStats(context.Background(), nil, target); err == nil {
 				fmt.Printf("server stats %s: %s\n", target, body)
 			}
 		}

@@ -1,6 +1,7 @@
 package regcoal
 
-// Documentation health checks, run by the CI docs job:
+// Documentation health checks, run with the rest of `go test ./...`
+// (the CI test and race jobs):
 //
 //   - TestDocsMarkdownLinks: every relative link in README.md and
 //     docs/*.md points at a file that exists;

@@ -91,7 +91,7 @@ func TestChaosDifferentialByteIdentityUnderFaults(t *testing.T) {
 	// The run must actually have exercised the machinery under test: the
 	// plan fired (drops from the blackhole, injected errors from w2) and
 	// the router retried around the damage.
-	if r := c.Router.Stats().Retries; r == 0 {
+	if r := c.Router.Stats().Int("router_retries"); r == 0 {
 		t.Fatal("no router retries recorded under a plan that blackholes a worker")
 	}
 	drops := c.RouterInjector.Stats().Drops
@@ -207,8 +207,7 @@ func TestHedgedRequestFailsOverSlowPrimary(t *testing.T) {
 	if shard := hdr.Get("X-Regcoal-Shard"); shard != seq[1] {
 		t.Fatalf("answer attributed to shard %s, want standby %s", shard, seq[1])
 	}
-	st := router.Stats()
-	if st.Hedges == 0 {
+	if router.Stats().Int("router_hedges") == 0 {
 		t.Fatal("no hedge recorded for a 400ms owner under a 25ms hedge threshold")
 	}
 	if owner.solves.Load() == 0 {
@@ -221,7 +220,7 @@ func TestHedgedRequestFailsOverSlowPrimary(t *testing.T) {
 func TestRouterRetryHedgeMetricsLintClean(t *testing.T) {
 	a := newFakeWorker(t, "a")
 	b := newFakeWorker(t, "b")
-	a.fail.Store(1 << 30) // a answers 500 forever; b carries the traffic
+	byURL := map[string]*fakeWorker{a.srv.URL: a, b.srv.URL: b}
 	router, err := cluster.NewRouter(cluster.RouterConfig{Workers: []string{a.srv.URL, b.srv.URL}})
 	if err != nil {
 		t.Fatal(err)
@@ -229,16 +228,22 @@ func TestRouterRetryHedgeMetricsLintClean(t *testing.T) {
 	front := httptest.NewServer(router)
 	t.Cleanup(front.Close)
 
-	// Distinct keys spread owners across both workers, so some requests
-	// start on the failing one and retry onto the healthy one.
+	// The first request's ring owner answers 500 forever and the other
+	// worker carries the traffic, so at least that request starts on the
+	// failing worker and retries onto the healthy one.
 	insts := quickInstances(t)
+	var first service.Request
+	if err := json.Unmarshal(requestBody(t, insts[0].File), &first); err != nil {
+		t.Fatal(err)
+	}
+	byURL[router.Ring().Owner(service.RoutingHash(&first, 0))].fail.Store(1 << 30)
 	for _, inst := range insts[:min(8, len(insts))] {
 		status, _, resp := post(t, front.URL+"/v1/coalesce", requestBody(t, inst.File))
 		if status != http.StatusOK {
 			t.Fatalf("status %d: %s", status, resp)
 		}
 	}
-	if st := router.Stats(); st.Retries == 0 {
+	if st := router.Stats(); st.Int("router_retries") == 0 {
 		t.Fatalf("no retries recorded against an always-500 worker: %+v", st)
 	}
 
@@ -323,7 +328,7 @@ func TestReadinessProbeCachedPerWindow(t *testing.T) {
 	if total := a.readyz.Load() + b.readyz.Load(); total == 0 {
 		t.Fatal("no probes at all; the readiness path did not run")
 	}
-	if st := router.Stats(); st.ReadyProbes != a.readyz.Load()+b.readyz.Load() {
-		t.Fatalf("router counted %d probes, workers received %d", st.ReadyProbes, a.readyz.Load()+b.readyz.Load())
+	if st := router.Stats(); st.Int("router_ready_probes") != a.readyz.Load()+b.readyz.Load() {
+		t.Fatalf("router counted %d probes, workers received %d", st.Int("router_ready_probes"), a.readyz.Load()+b.readyz.Load())
 	}
 }

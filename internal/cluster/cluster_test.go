@@ -173,7 +173,7 @@ func TestClusterDifferentialByteIdentity(t *testing.T) {
 	ring := c.Router.Ring()
 	peerFillsBefore := int64(0)
 	for _, w := range c.Workers {
-		peerFillsBefore += w.Worker.Stats().PeerFills
+		peerFillsBefore += w.Service.Registry().Snapshot().Int("cluster_peer_fills")
 	}
 	for _, inst := range insts {
 		body := requestBody(t, inst.File)
@@ -201,7 +201,7 @@ func TestClusterDifferentialByteIdentity(t *testing.T) {
 	}
 	peerFillsAfter := int64(0)
 	for _, w := range c.Workers {
-		peerFillsAfter += w.Worker.Stats().PeerFills
+		peerFillsAfter += w.Service.Registry().Snapshot().Int("cluster_peer_fills")
 	}
 	if peerFillsAfter <= peerFillsBefore {
 		t.Fatalf("no peer fills recorded across the non-owner pass (before %d, after %d)", peerFillsBefore, peerFillsAfter)
@@ -389,11 +389,11 @@ func TestClusterSingleflightCollapses64ConcurrentDuplicates(t *testing.T) {
 	solves := int64(0)
 	collapses := int64(0)
 	for _, w := range c.Workers {
-		st := w.Service.StatsSnapshot()
-		for _, wins := range st.StrategyWins {
+		st := w.Service.Registry().Snapshot()
+		for _, wins := range st.Labels("strategy_wins") {
 			solves += wins
 		}
-		collapses += st.SingleflightCollapses
+		collapses += st.Int("singleflight_collapses")
 	}
 	if solves != 1 {
 		t.Fatalf("cluster ran %d portfolio races for %d identical requests, want exactly 1", solves, n)
@@ -456,11 +456,10 @@ func TestPeerFillServesWithoutRecompute(t *testing.T) {
 	if hit := hdr.Get("X-Regcoal-Cache"); hit != "hit" {
 		t.Fatalf("non-owner disposition %q, want hit", hit)
 	}
-	if fills := otherW.Worker.Stats().PeerFills; fills != 1 {
+	if fills := otherW.Service.Registry().Snapshot().Int("cluster_peer_fills"); fills != 1 {
 		t.Fatalf("non-owner recorded %d peer fills, want 1", fills)
 	}
-	st := otherW.Service.StatsSnapshot()
-	for name, wins := range st.StrategyWins {
+	for name, wins := range otherW.Service.Registry().Snapshot().Labels("strategy_wins") {
 		if wins > 0 {
 			t.Fatalf("non-owner computed (%s won %d races) despite peer fill", name, wins)
 		}
@@ -604,7 +603,7 @@ func TestAdmissionHeavyLaneRejectsWhenFull(t *testing.T) {
 	if err := <-holder; err != nil {
 		t.Fatal(err)
 	}
-	if rejects := w.Stats().HeavyLaneRejects; rejects != 1 {
+	if rejects := svc.Registry().Snapshot().Labels("cluster_lane_rejects")["heavy"]; rejects != 1 {
 		t.Fatalf("heavy lane rejects %d, want 1", rejects)
 	}
 
@@ -671,7 +670,7 @@ func TestClusterSmokeBatchByteIdentical(t *testing.T) {
 	for i := range breq.Items {
 		owners[ring.Owner(service.RoutingHash(&breq.Items[i], 200000))] = true
 	}
-	if shards := c.Router.Stats().PerShard; len(shards) != len(owners) {
+	if shards := c.Router.Stats().Labels("router_shard_requests"); len(shards) != len(owners) {
 		t.Fatalf("batch touched %d shards, ring expects %d: %v", len(shards), len(owners), shards)
 	}
 }

@@ -16,6 +16,7 @@ import (
 	"net/http"
 	"slices"
 	"testing"
+	"time"
 
 	"regcoal/internal/cluster"
 	"regcoal/internal/corpus"
@@ -39,7 +40,14 @@ func TestSessionFailoverRebuildsFromReplicatedLog(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(fmt.Sprintf("%s-kill%d", tc.family, tc.kill), func(t *testing.T) {
-			c := startCluster(t, 3, cluster.InProcessOptions{Service: scfg})
+			// A minute-long ReadyTTL keeps the primary's readiness from the
+			// create fresh, so the first delta after the kill always tries
+			// the dead primary and retries, rather than probing it first
+			// and failing over without a retry.
+			c := startCluster(t, 3, cluster.InProcessOptions{
+				Service: scfg,
+				Router:  cluster.RouterConfig{ReadyTTL: time.Minute},
+			})
 
 			fams, err := corpus.Select(tc.family)
 			if err != nil {
@@ -137,10 +145,10 @@ func TestSessionFailoverRebuildsFromReplicatedLog(t *testing.T) {
 				}
 			}
 
-			if rebuilds := secondaryW.Worker.Stats().SessionRebuilds; rebuilds != 1 {
+			if rebuilds := secondaryW.Service.Registry().Snapshot().Int("session_rebuilds"); rebuilds != 1 {
 				t.Fatalf("secondary rebuilt the session %d times, want exactly 1", rebuilds)
 			}
-			if r := c.Router.Stats().Retries; r == 0 {
+			if r := c.Router.Stats().Int("router_retries"); r == 0 {
 				t.Fatal("no router retries recorded across a primary death")
 			}
 

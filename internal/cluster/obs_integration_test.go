@@ -155,29 +155,72 @@ func TestPrometheusSurfacesPassStrictLint(t *testing.T) {
 	_, single := startSingle(t, service.Config{})
 	post(t, single.URL+"/v1/allocate", requestBody(t, insts[0].File))
 
-	surfaces := map[string]string{
-		"router":  c.RouterURL + "/metrics",
-		"worker0": c.Workers[0].URL + "/metrics",
-		"worker1": c.Workers[1].URL + "/metrics",
-		"service": single.URL + "/metrics",
+	// Families outside the registry: the latency histograms (the
+	// "latency" key on /stats) and the runtime gauges (/metrics only).
+	unregistered := map[string]bool{
+		"regcoal_request_duration_seconds": true,
+		"regcoal_phase_duration_seconds":   true,
 	}
-	for name, url := range surfaces {
-		resp, err := http.Get(url)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		payload, err := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		if err != nil {
-			t.Fatalf("%s: reading metrics: %v", name, err)
-		}
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("%s: /metrics status %d", name, resp.StatusCode)
+	var runtime bytes.Buffer
+	obs.WriteRuntimePrometheus(&runtime)
+	for _, f := range typedFamilies(runtime.String()) {
+		unregistered[f] = true
+	}
+
+	surfaces := map[string]string{
+		"router":  c.RouterURL,
+		"worker0": c.Workers[0].URL,
+		"worker1": c.Workers[1].URL,
+		"service": single.URL,
+	}
+	for name, base := range surfaces {
+		status, _, payload := get(t, base+"/metrics")
+		if status != http.StatusOK {
+			t.Fatalf("%s: /metrics status %d", name, status)
 		}
 		if problems := obs.LintPrometheus(string(payload)); len(problems) > 0 {
 			t.Errorf("%s /metrics fails lint:\n  %s", name, strings.Join(problems, "\n  "))
 		}
+
+		// /stats and /metrics render the same families: every registry
+		// family on /metrics has its key on /stats, and every /stats key
+		// but "latency" names a /metrics family.
+		status, _, statsBody := get(t, base+"/stats")
+		if status != http.StatusOK {
+			t.Fatalf("%s: /stats status %d", name, status)
+		}
+		var stats map[string]json.RawMessage
+		if err := json.Unmarshal(statsBody, &stats); err != nil {
+			t.Fatalf("%s: /stats: %v", name, err)
+		}
+		keys := map[string]bool{"latency": true}
+		for _, f := range typedFamilies(string(payload)) {
+			if unregistered[f] {
+				continue
+			}
+			keys[obs.StatsKey(f)] = true
+			if _, ok := stats[obs.StatsKey(f)]; !ok {
+				t.Errorf("%s: /metrics family %s has no /stats key %q", name, f, obs.StatsKey(f))
+			}
+		}
+		for key := range stats {
+			if !keys[key] {
+				t.Errorf("%s: /stats key %q matches no /metrics family", name, key)
+			}
+		}
 	}
+}
+
+// typedFamilies lists the families a Prometheus payload declares with
+// # TYPE lines.
+func typedFamilies(payload string) []string {
+	var out []string
+	for _, line := range strings.Split(payload, "\n") {
+		if rest, ok := strings.CutPrefix(line, "# TYPE "); ok {
+			out = append(out, strings.Fields(rest)[0])
+		}
+	}
+	return out
 }
 
 func TestDeadlineHitRaceTimelineOnDebugRequests(t *testing.T) {
@@ -287,21 +330,23 @@ func TestRouterShardMetricsFamilies(t *testing.T) {
 	}
 
 	st := c.Router.Stats()
-	if len(st.PerShard) == 0 {
+	forwarded := st.Labels("router_shard_requests")
+	latency, _ := st["router_shard_latency_seconds"].(map[string]obs.QuantileSummary)
+	if len(forwarded) == 0 {
 		t.Fatal("no per-shard stats after traffic")
 	}
 	var total int64
-	for node, sh := range st.PerShard {
-		if sh.Forwarded <= 0 {
+	for node, fwd := range forwarded {
+		if fwd <= 0 {
 			t.Fatalf("shard %s has zero forwarded despite being listed", node)
 		}
-		if int64(sh.Latency.Count) != sh.Forwarded {
-			t.Fatalf("shard %s latency count %d != forwarded %d", node, sh.Latency.Count, sh.Forwarded)
+		if int64(latency[node].Count) != fwd {
+			t.Fatalf("shard %s latency count %d != forwarded %d", node, latency[node].Count, fwd)
 		}
-		total += sh.Forwarded
+		total += fwd
 	}
-	if total != st.Proxied {
-		t.Fatalf("per-shard forwarded sums to %d, proxied is %d", total, st.Proxied)
+	if total != st.Int("router_proxied") {
+		t.Fatalf("per-shard forwarded sums to %d, proxied is %d", total, st.Int("router_proxied"))
 	}
 
 	resp, err := http.Get(c.RouterURL + "/metrics")

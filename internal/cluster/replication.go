@@ -239,7 +239,7 @@ func (w *Worker) sessionBaseHash(req *service.DeltaRequest) string {
 // that is down reads as persistent lag until the next successful push
 // sequence catches it up (or the session closes).
 func (w *Worker) pushSessionLog(peer, op, id, baseHash string, body []byte) {
-	lag := w.lagFor(peer)
+	lag := w.replLag.With(peer)
 	lag.Add(1)
 	payload, err := json.Marshal(sessionLogOp{Op: op, SessionID: id, BaseHash: baseHash, Body: body})
 	if err != nil {

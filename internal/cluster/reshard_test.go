@@ -96,11 +96,11 @@ func TestTopologyAdminAPI(t *testing.T) {
 		t.Fatalf("post-add view %+v", next)
 	}
 	for _, w := range c.Workers {
-		if got := w.Worker.Stats().Epoch; got != 2 {
+		if got := w.Service.Registry().Snapshot().Int("topology_epoch"); got != 2 {
 			t.Fatalf("worker %s at epoch %d after broadcast, want 2", w.URL, got)
 		}
 	}
-	if got := c.Router.Stats().Epoch; got != 2 {
+	if got := c.Router.Stats().Int("topology_epoch"); got != 2 {
 		t.Fatalf("router at epoch %d, want 2", got)
 	}
 }
@@ -134,7 +134,7 @@ func TestStaleEpochRejectedOnInternalRPC(t *testing.T) {
 	if stale.Have != 1 || stale.Got != 99 || len(stale.Topology.Nodes) != 2 {
 		t.Fatalf("409 payload %+v", stale)
 	}
-	if rejects := c.Workers[0].Worker.Stats().EpochRejects; rejects != 1 {
+	if rejects := c.Workers[0].Service.Registry().Snapshot().Int("epoch_rejects"); rejects != 1 {
 		t.Fatalf("epoch_rejects = %d, want 1", rejects)
 	}
 }
@@ -150,13 +150,13 @@ func TestReadinessCacheInvalidatedOnEpochChange(t *testing.T) {
 	if status != http.StatusOK {
 		t.Fatalf("solve: status %d: %s", status, resp)
 	}
-	probed := c.Router.Stats().ReadyProbes
+	probed := c.Router.Stats().Int("router_ready_probes")
 	if probed == 0 {
 		t.Fatal("first forward issued no readiness probe")
 	}
 	// Within the TTL the cache answers; no new probes.
 	post(t, c.RouterURL+"/v1/coalesce", body)
-	if got := c.Router.Stats().ReadyProbes; got != probed {
+	if got := c.Router.Stats().Int("router_ready_probes"); got != probed {
 		t.Fatalf("probes %d -> %d inside TTL window", probed, got)
 	}
 	// An epoch bump (full-set replacement with the same nodes) must drop
@@ -168,7 +168,7 @@ func TestReadinessCacheInvalidatedOnEpochChange(t *testing.T) {
 		t.Fatalf("topology update: status %d: %s", status, resp)
 	}
 	post(t, c.RouterURL+"/v1/coalesce", body)
-	if got := c.Router.Stats().ReadyProbes; got <= probed {
+	if got := c.Router.Stats().Int("router_ready_probes"); got <= probed {
 		t.Fatalf("probes stayed at %d after epoch change; cache not invalidated", got)
 	}
 }
@@ -357,9 +357,9 @@ func TestReshardChurnDifferentialByteIdentical(t *testing.T) {
 	// The reshard actually moved cache state.
 	var handoffEntries, handoffRounds int64
 	for _, w := range c.Workers {
-		st := w.Worker.Stats()
-		handoffEntries += st.HandoffEntries
-		handoffRounds += st.HandoffRounds
+		st := w.Service.Registry().Snapshot()
+		handoffEntries += st.Int("handoff_entries")
+		handoffRounds += st.Int("handoff_rounds")
 	}
 	if handoffRounds == 0 {
 		t.Fatal("no worker ran a handoff round across three topology changes")
@@ -371,7 +371,7 @@ func TestReshardChurnDifferentialByteIdentical(t *testing.T) {
 		t.Fatalf("router epoch %d after three edits, want 4", got)
 	}
 	for _, w := range c.Workers {
-		if got := w.Worker.Stats().Epoch; got != 4 {
+		if got := w.Service.Registry().Snapshot().Int("topology_epoch"); got != 4 {
 			t.Fatalf("worker %s at epoch %d, want 4", w.URL, got)
 		}
 	}
@@ -475,7 +475,7 @@ func TestKillDuringHandoffConverges(t *testing.T) {
 	}
 	rounds := int64(0)
 	for _, w := range c.Workers[:2] {
-		rounds += w.Worker.Stats().HandoffRounds
+		rounds += w.Service.Registry().Snapshot().Int("handoff_rounds")
 	}
 	if rounds == 0 {
 		t.Fatal("no surviving worker ran a handoff round")

@@ -46,7 +46,8 @@ type Router struct {
 	topo   *Topology
 	client *http.Client
 	mux    *http.ServeMux
-	ids    *obs.Tracer // trace-ID mint only; the router keeps no spans
+	ids    *obs.Tracer  // trace-ID mint only; the router keeps no spans
+	reg    obs.Registry // the families behind /metrics and /stats
 
 	proxied         atomic.Int64
 	batchRequests   atomic.Int64
@@ -60,8 +61,7 @@ type Router struct {
 	topologyUpdates atomic.Int64
 	broadcastFails  atomic.Int64
 
-	shardMu  sync.Mutex
-	perShard map[string]*shardStats // grown lazily as nodes answer traffic
+	shards obs.Labeled[shardStats] // grown as nodes answer traffic
 
 	readyMu sync.Mutex
 	ready   map[string]readyState
@@ -75,7 +75,7 @@ type Router struct {
 // answered, how it came to answer (owner, failover target, fallback
 // shard), and the forward latency distribution. Entries are created on a
 // node's first answer and never removed (a departed node's history stays
-// readable), so the hot path is one short lock to fetch the pointer.
+// readable).
 type shardStats struct {
 	forwarded atomic.Int64 // requests this worker answered
 	failovers atomic.Int64 // ...while standing in for an unready owner
@@ -165,16 +165,16 @@ func NewRouter(cfg RouterConfig) (*Router, error) {
 		return nil, fmt.Errorf("cluster: router needs at least one worker")
 	}
 	r := &Router{
-		cfg:      cfg,
-		topo:     NewTopology(cfg.Workers, cfg.VNodes),
-		client:   cfg.Client,
-		mux:      http.NewServeMux(),
-		ids:      obs.NewTracer(1, 1, time.Hour),
-		perShard: make(map[string]*shardStats, len(cfg.Workers)),
-		ready:    make(map[string]readyState),
-		probeMu:  make(map[string]*sync.Mutex, len(cfg.Workers)),
-		jitter:   rand.New(rand.NewSource(hashSeed(cfg.Workers))),
+		cfg:     cfg,
+		topo:    NewTopology(cfg.Workers, cfg.VNodes),
+		client:  cfg.Client,
+		mux:     http.NewServeMux(),
+		ids:     obs.NewTracer(1, 1, time.Hour),
+		ready:   make(map[string]readyState),
+		probeMu: make(map[string]*sync.Mutex, len(cfg.Workers)),
+		jitter:  rand.New(rand.NewSource(hashSeed(cfg.Workers))),
 	}
+	r.declareMetrics()
 	if r.client == nil {
 		r.client = &http.Client{Timeout: 60 * time.Second}
 	}
@@ -662,13 +662,7 @@ func (r *Router) markUnready(node string) {
 }
 
 func (r *Router) countShard(node string, failedOver, fallbackKey bool, d time.Duration) {
-	r.shardMu.Lock()
-	st, ok := r.perShard[node]
-	if !ok {
-		st = &shardStats{}
-		r.perShard[node] = st
-	}
-	r.shardMu.Unlock()
+	st := r.shards.With(node)
 	st.forwarded.Add(1)
 	if failedOver {
 		st.failovers.Add(1)
@@ -806,82 +800,36 @@ func (r *Router) handleLivez(rw http.ResponseWriter, req *http.Request) {
 	r.writeJSON(rw, http.StatusOK, map[string]string{"status": "ok"})
 }
 
-// ShardSummary is one worker's traffic breakdown as the router saw it:
-// how many requests it answered, how many of those were failover or
-// fallback-shard traffic, and the forward latency distribution.
-type ShardSummary struct {
-	Forwarded int64               `json:"forwarded"`
-	Failovers int64               `json:"failovers"`
-	Fallback  int64               `json:"fallback"`
-	Latency   obs.QuantileSummary `json:"latency"`
+// declareMetrics declares the router's families.
+func (r *Router) declareMetrics() {
+	g := &r.reg
+	g.Counter("regcoal_router_proxied_total", "Single-solve requests proxied.", r.proxied.Load)
+	g.Counter("regcoal_router_batch_requests_total", "POST /v1/batch requests.", r.batchRequests.Load)
+	g.Counter("regcoal_router_batch_items_total", "Batch items fanned out.", r.batchItems.Load)
+	g.Counter("regcoal_router_fallback_total", "Requests routed to the fallback shard.", r.fallback.Load)
+	g.Counter("regcoal_router_failovers_total", "Requests answered by a non-owner after failover.", r.failovers.Load)
+	g.Counter("regcoal_router_retries_total", "Attempts retried on a further replica after a transport error or 5xx.", r.retries.Load)
+	g.Counter("regcoal_router_hedges_total", "Hedged attempts launched after HedgeAfter without an answer.", r.hedges.Load)
+	g.Counter("regcoal_router_ready_probes_total", "Readiness probes issued (singleflighted per peer per ReadyTTL window).", r.readyProbes.Load)
+	g.Counter("regcoal_router_no_worker_total", "Requests that found no available worker.", r.noWorker.Load)
+	g.Counter("regcoal_router_topology_updates_total", "Admin topology updates applied (epoch bumps).", r.topologyUpdates.Load)
+	g.Counter("regcoal_router_topology_broadcast_failures_total", "Topology broadcast pushes that failed.", r.broadcastFails.Load)
+	g.Gauge("regcoal_topology_epoch", "Current cluster membership epoch.", func() int64 { return int64(r.topo.View().Epoch) })
+	g.CounterVec("regcoal_router_shard_requests_total", "Requests answered per shard.", "shard",
+		r.shards.Read(func(s *shardStats) int64 { return s.forwarded.Load() }))
+	g.CounterVec("regcoal_router_shard_failovers_total", "Requests a shard answered while standing in for an unready owner.", "shard",
+		r.shards.Read(func(s *shardStats) int64 { return s.failovers.Load() }))
+	g.CounterVec("regcoal_router_shard_fallback_total", "Fallback-keyed (unroutable) requests a shard answered.", "shard",
+		r.shards.Read(func(s *shardStats) int64 { return s.fallback.Load() }))
+	g.HistogramVec("regcoal_router_shard_latency_seconds", "Router-observed forward latency per shard.", "shard", func(emit func(string, *obs.Histogram)) {
+		r.shards.Each(func(node string, s *shardStats) { emit(node, &s.lat) })
+	})
 }
 
-// RouterStats is the router's counter snapshot, served on /stats.
-type RouterStats struct {
-	Workers         []string                `json:"workers"`
-	Epoch           uint64                  `json:"epoch"`
-	Replicas        int                     `json:"replicas"`
-	Proxied         int64                   `json:"proxied"`
-	BatchRequests   int64                   `json:"batch_requests"`
-	BatchItems      int64                   `json:"batch_items"`
-	Fallback        int64                   `json:"fallback_routed"`
-	Failovers       int64                   `json:"failovers"`
-	Retries         int64                   `json:"retries"`
-	Hedges          int64                   `json:"hedges"`
-	ReadyProbes     int64                   `json:"ready_probes"`
-	NoWorker        int64                   `json:"no_worker"`
-	TopologyUpdates int64                   `json:"topology_updates"`
-	BroadcastFails  int64                   `json:"topology_broadcast_failures"`
-	PerShard        map[string]ShardSummary `json:"per_shard"`
-}
-
-// shardSnapshot copies the per-shard stat pointers under the lock.
-func (r *Router) shardSnapshot() map[string]*shardStats {
-	r.shardMu.Lock()
-	defer r.shardMu.Unlock()
-	out := make(map[string]*shardStats, len(r.perShard))
-	for node, st := range r.perShard {
-		out[node] = st
-	}
-	return out
-}
-
-// Stats returns the router's counters. Shards that never answered a
-// request are omitted, so per_shard reads as "who carried traffic".
-func (r *Router) Stats() RouterStats {
-	shards := r.shardSnapshot()
-	per := make(map[string]ShardSummary, len(shards))
-	for node, st := range shards {
-		fwd := st.forwarded.Load()
-		if fwd == 0 {
-			continue
-		}
-		per[node] = ShardSummary{
-			Forwarded: fwd,
-			Failovers: st.failovers.Load(),
-			Fallback:  st.fallback.Load(),
-			Latency:   st.lat.Summary(),
-		}
-	}
-	view := r.topo.View()
-	return RouterStats{
-		Workers:         view.Nodes,
-		Epoch:           view.Epoch,
-		Replicas:        r.cfg.Replicas,
-		Proxied:         r.proxied.Load(),
-		BatchRequests:   r.batchRequests.Load(),
-		BatchItems:      r.batchItems.Load(),
-		Fallback:        r.fallback.Load(),
-		Failovers:       r.failovers.Load(),
-		Retries:         r.retries.Load(),
-		Hedges:          r.hedges.Load(),
-		ReadyProbes:     r.readyProbes.Load(),
-		NoWorker:        r.noWorker.Load(),
-		TopologyUpdates: r.topologyUpdates.Load(),
-		BroadcastFails:  r.broadcastFails.Load(),
-		PerShard:        per,
-	}
-}
+// Stats returns the router's /stats snapshot. Shards that never answered
+// a request are absent, so the router_shard_* keys read as "who carried
+// traffic".
+func (r *Router) Stats() obs.Snapshot { return r.reg.Snapshot() }
 
 func (r *Router) handleStats(rw http.ResponseWriter, req *http.Request) {
 	r.writeJSON(rw, http.StatusOK, r.Stats())
@@ -889,46 +837,7 @@ func (r *Router) handleStats(rw http.ResponseWriter, req *http.Request) {
 
 func (r *Router) handleMetrics(rw http.ResponseWriter, req *http.Request) {
 	rw.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	st := r.Stats()
-	counter := func(name, help string, v int64) {
-		fmt.Fprintf(rw, "# HELP %s %s\n# TYPE %s counter\n%s %d\n", name, help, name, name, v)
-	}
-	counter("regcoal_router_proxied_total", "Single-solve requests proxied.", st.Proxied)
-	counter("regcoal_router_batch_requests_total", "POST /v1/batch requests.", st.BatchRequests)
-	counter("regcoal_router_batch_items_total", "Batch items fanned out.", st.BatchItems)
-	counter("regcoal_router_fallback_total", "Requests routed to the fallback shard.", st.Fallback)
-	counter("regcoal_router_failovers_total", "Requests answered by a non-owner after failover.", st.Failovers)
-	counter("regcoal_router_retries_total", "Attempts retried on a further replica after a transport error or 5xx.", st.Retries)
-	counter("regcoal_router_hedges_total", "Hedged attempts launched after HedgeAfter without an answer.", st.Hedges)
-	counter("regcoal_router_ready_probes_total", "Readiness probes issued (singleflighted per peer per ReadyTTL window).", st.ReadyProbes)
-	counter("regcoal_router_no_worker_total", "Requests that found no available worker.", st.NoWorker)
-	counter("regcoal_router_topology_updates_total", "Admin topology updates applied (epoch bumps).", st.TopologyUpdates)
-	counter("regcoal_router_topology_broadcast_failures_total", "Topology broadcast pushes that failed.", st.BroadcastFails)
-	fmt.Fprintf(rw, "# HELP regcoal_topology_epoch Current cluster membership epoch.\n# TYPE regcoal_topology_epoch gauge\nregcoal_topology_epoch %d\n", st.Epoch)
-	nodes := make([]string, 0, len(st.PerShard))
-	for n := range st.PerShard {
-		nodes = append(nodes, n)
-	}
-	sort.Strings(nodes)
-	shardCounter := func(name, help string, pick func(ShardSummary) int64) {
-		fmt.Fprintf(rw, "# HELP %s %s\n# TYPE %s counter\n", name, help, name)
-		for _, n := range nodes {
-			fmt.Fprintf(rw, "%s{shard=%q} %d\n", name, n, pick(st.PerShard[n]))
-		}
-	}
-	if len(nodes) > 0 {
-		shardCounter("regcoal_router_shard_requests_total", "Requests answered per shard.",
-			func(s ShardSummary) int64 { return s.Forwarded })
-		shardCounter("regcoal_router_shard_failovers_total", "Requests a shard answered while standing in for an unready owner.",
-			func(s ShardSummary) int64 { return s.Failovers })
-		shardCounter("regcoal_router_shard_fallback_total", "Fallback-keyed (unroutable) requests a shard answered.",
-			func(s ShardSummary) int64 { return s.Fallback })
-		obs.WritePrometheusHeader(rw, "regcoal_router_shard_latency_seconds", "Router-observed forward latency per shard.")
-		shards := r.shardSnapshot()
-		for _, n := range nodes {
-			shards[n].lat.WritePrometheus(rw, "regcoal_router_shard_latency_seconds", fmt.Sprintf("shard=%q", n))
-		}
-	}
+	r.reg.WritePrometheus(rw)
 }
 
 func (r *Router) writeJSON(rw http.ResponseWriter, status int, v any) {

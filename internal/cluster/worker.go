@@ -7,8 +7,6 @@ import (
 	"io"
 	"net/http"
 	"net/url"
-	"sort"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -64,8 +62,7 @@ type Worker struct {
 
 	sessLogs *sessionLogs
 
-	lagMu   sync.Mutex
-	replLag map[string]*atomic.Int64 // per-peer un-acked log pushes; grown lazily
+	replLag obs.Labeled[atomic.Int64] // per-peer un-acked log pushes
 
 	peerFills       atomic.Int64 // local misses answered from a peer's cache
 	peerMisses      atomic.Int64 // peer lookups that found nothing
@@ -141,16 +138,15 @@ func NewWorker(svc *service.Server, cfg WorkerConfig) (*Worker, error) {
 		client:   cfg.Client,
 		mux:      http.NewServeMux(),
 		sessLogs: newSessionLogs(svc.Config().MaxSessions),
-		replLag:  make(map[string]*atomic.Int64, len(cfg.Peers)),
 	}
 	if cfg.Self != "" && len(cfg.Peers) > 0 {
 		w.topo = NewTopology(cfg.Peers, cfg.VNodes)
 		// Prefill the lag gauges for the initial peer set so the metrics
 		// family is present from the first scrape; peers that join later
-		// grow the map through lagFor.
+		// get theirs on first push.
 		for _, p := range cfg.Peers {
 			if p != cfg.Self {
-				w.replLag[p] = &atomic.Int64{}
+				w.replLag.With(p)
 			}
 		}
 		// LRU eviction is a migration trigger: an evicted session's op
@@ -162,30 +158,52 @@ func NewWorker(svc *service.Server, cfg WorkerConfig) (*Worker, error) {
 		w.client = &http.Client{Timeout: 2 * time.Second}
 	}
 	svc.SetTier(w)
+	w.declareMetrics(svc.Registry())
 	w.mux.HandleFunc("/internal/cache", w.handleInternalCache)
 	w.mux.HandleFunc("/internal/session/log", w.handleInternalSessionLog)
 	w.mux.HandleFunc("/internal/session/import", w.handleSessionImport)
 	w.mux.HandleFunc("/internal/topology", w.handleInternalTopology)
-	w.mux.HandleFunc("/metrics", w.handleMetrics)
-	w.mux.HandleFunc("/stats", w.handleStats)
-	// The /v1/* endpoints, liveness, readiness, and anything else stay
-	// the service's.
+	// The /v1/* endpoints, /metrics and /stats (which render the families
+	// declared above), liveness, readiness, and anything else stay the
+	// service's.
 	w.mux.Handle("/", svc.Handler())
 	return w, nil
 }
 
-// lagFor returns (creating if needed) peer's replica-lag gauge. The map
-// grows as topology changes introduce peers; entries are never removed,
-// so a departed peer's final lag stays readable.
-func (w *Worker) lagFor(peer string) *atomic.Int64 {
-	w.lagMu.Lock()
-	defer w.lagMu.Unlock()
-	l, ok := w.replLag[peer]
-	if !ok {
-		l = &atomic.Int64{}
-		w.replLag[peer] = l
+// declareMetrics declares the shard-level families into the service's
+// registry, so the service's /metrics and /stats carry them.
+func (w *Worker) declareMetrics(r *obs.Registry) {
+	r.Counter("regcoal_cluster_peer_fills_total", "Local misses answered from a peer shard's cache.", w.peerFills.Load)
+	r.Counter("regcoal_cluster_peer_misses_total", "Peer cache lookups that found nothing.", w.peerMisses.Load)
+	r.Counter("regcoal_cluster_peer_pushes_total", "Computed entries pushed to the other owners in their hash's replica set.", w.peerPushes.Load)
+	r.Counter("regcoal_cluster_peer_errors_total", "Failed peer cache lookups or pushes.", w.peerErrors.Load)
+	r.Counter("regcoal_session_repl_pushes_total", "Session op-log records replicated to peers.", w.replPushes.Load)
+	r.Counter("regcoal_session_repl_failures_total", "Session op-log replication pushes that failed.", w.replFailures.Load)
+	r.Counter("regcoal_session_rebuilds_total", "Sessions rebuilt from a replicated op log after failover.", w.rebuilds.Load)
+	r.Counter("regcoal_session_rebuild_failures_total", "Session rebuilds that failed to replay.", w.rebuildFailures.Load)
+	r.Counter("regcoal_epoch_rejects_total", "Internal RPCs rejected 409 for a stale topology epoch.", w.epochRejects.Load)
+	r.Counter("regcoal_epoch_adoptions_total", "Topology views adopted from a broadcast or 409 exchange.", w.epochAdoptions.Load)
+	r.Counter("regcoal_handoff_entries_total", "Cache entries streamed to new owners during resharding.", w.handoffEntries.Load)
+	r.Counter("regcoal_handoff_bytes_total", "Serialized bytes of cache entries streamed during resharding.", w.handoffBytes.Load)
+	r.Counter("regcoal_handoff_sessions_total", "Sessions exported to new owners (reshard or eviction migration).", w.handoffSessions.Load)
+	r.Counter("regcoal_handoff_errors_total", "Handoff pushes that failed after the retry round.", w.handoffErrors.Load)
+	r.Counter("regcoal_handoff_rounds_total", "Topology changes that ran a handoff stream.", w.handoffRounds.Load)
+	r.Counter("regcoal_session_imports_total", "Sessions made live via the migration import wire.", w.sessionImports.Load)
+	r.Counter("regcoal_session_import_failures_total", "Migration import records rejected.", w.importFailures.Load)
+	r.Gauge("regcoal_handoff_active", "Handoff streams currently running.", w.handoffActive.Load)
+	r.Gauge("regcoal_session_logs", "Session op logs held for rebuild or migration.", func() int64 { return int64(w.sessLogs.len()) })
+	if w.topo != nil {
+		r.Gauge("regcoal_topology_epoch", "Current cluster membership epoch.", func() int64 { return int64(w.topo.View().Epoch) })
 	}
-	return l
+	r.GaugeVec("regcoal_session_replica_lag", "Un-acked session log pushes per peer (rises on push, falls on ack).", "peer", w.replLag.Read((*atomic.Int64).Load))
+	r.CounterVec("regcoal_cluster_lane_rejects_total", "Admission rejections per lane.", "lane", func(emit func(string, int64)) {
+		emit("fast", w.laneRejects[LaneFast].Load())
+		emit("heavy", w.laneRejects[LaneHeavy].Load())
+	})
+	r.GaugeVec("regcoal_cluster_lane_depth", "Admitted solves per lane.", "lane", func(emit func(string, int64)) {
+		emit("fast", int64(w.adm.Depth(LaneFast)))
+		emit("heavy", int64(w.adm.Depth(LaneHeavy)))
+	})
 }
 
 // Topology exposes the worker's membership object (nil when not
@@ -360,147 +378,6 @@ func (w *Worker) handleInternalCache(rw http.ResponseWriter, r *http.Request) {
 	default:
 		w.writeError(rw, http.StatusMethodNotAllowed, "GET or PUT required")
 	}
-}
-
-// ClusterStats is the worker's shard-level counter section, nested under
-// "cluster" in its /stats body.
-type ClusterStats struct {
-	Self                string           `json:"self,omitempty"`
-	Peers               int              `json:"peers"`
-	Replicas            int              `json:"replicas"`
-	PeerFills           int64            `json:"peer_fills"`
-	PeerMisses          int64            `json:"peer_misses"`
-	PeerPushes          int64            `json:"peer_pushes"`
-	PeerErrors          int64            `json:"peer_errors"`
-	SessionReplPushes   int64            `json:"session_repl_pushes"`
-	SessionReplFailures int64            `json:"session_repl_failures"`
-	SessionRebuilds     int64            `json:"session_rebuilds"`
-	SessionRebuildFails int64            `json:"session_rebuild_failures"`
-	SessionLogs         int              `json:"session_logs"`
-	SessionReplicaLag   map[string]int64 `json:"session_replica_lag,omitempty"`
-	FastLaneRejects     int64            `json:"fast_lane_rejects"`
-	HeavyLaneRejects    int64            `json:"heavy_lane_rejects"`
-	FastLaneDepth       int              `json:"fast_lane_depth"`
-	HeavyLaneDepth      int              `json:"heavy_lane_depth"`
-	Epoch               uint64           `json:"epoch,omitempty"`
-	EpochRejects        int64            `json:"epoch_rejects"`
-	EpochAdoptions      int64            `json:"epoch_adoptions"`
-	HandoffEntries      int64            `json:"handoff_entries"`
-	HandoffBytes        int64            `json:"handoff_bytes"`
-	HandoffSessions     int64            `json:"handoff_sessions"`
-	HandoffErrors       int64            `json:"handoff_errors"`
-	HandoffRounds       int64            `json:"handoff_rounds"`
-	HandoffActive       int64            `json:"handoff_active"`
-	SessionImports      int64            `json:"session_imports"`
-	SessionImportFails  int64            `json:"session_import_failures"`
-}
-
-// Stats returns the shard-level counters.
-func (w *Worker) Stats() ClusterStats {
-	var lag map[string]int64
-	w.lagMu.Lock()
-	if len(w.replLag) > 0 {
-		lag = make(map[string]int64, len(w.replLag))
-		for peer, v := range w.replLag {
-			lag[peer] = v.Load()
-		}
-	}
-	w.lagMu.Unlock()
-	var epoch uint64
-	peers := len(w.cfg.Peers)
-	if w.topo != nil {
-		view := w.topo.View()
-		epoch = view.Epoch
-		peers = len(view.Nodes)
-	}
-	return ClusterStats{
-		Self:                w.cfg.Self,
-		Peers:               peers,
-		Replicas:            w.replicaCount(),
-		Epoch:               epoch,
-		EpochRejects:        w.epochRejects.Load(),
-		EpochAdoptions:      w.epochAdoptions.Load(),
-		HandoffEntries:      w.handoffEntries.Load(),
-		HandoffBytes:        w.handoffBytes.Load(),
-		HandoffSessions:     w.handoffSessions.Load(),
-		HandoffErrors:       w.handoffErrors.Load(),
-		HandoffRounds:       w.handoffRounds.Load(),
-		HandoffActive:       w.handoffActive.Load(),
-		SessionImports:      w.sessionImports.Load(),
-		SessionImportFails:  w.importFailures.Load(),
-		PeerFills:           w.peerFills.Load(),
-		PeerMisses:          w.peerMisses.Load(),
-		PeerPushes:          w.peerPushes.Load(),
-		PeerErrors:          w.peerErrors.Load(),
-		SessionReplPushes:   w.replPushes.Load(),
-		SessionReplFailures: w.replFailures.Load(),
-		SessionRebuilds:     w.rebuilds.Load(),
-		SessionRebuildFails: w.rebuildFailures.Load(),
-		SessionLogs:         w.sessLogs.len(),
-		SessionReplicaLag:   lag,
-		FastLaneRejects:     w.laneRejects[LaneFast].Load(),
-		HeavyLaneRejects:    w.laneRejects[LaneHeavy].Load(),
-		FastLaneDepth:       w.adm.Depth(LaneFast),
-		HeavyLaneDepth:      w.adm.Depth(LaneHeavy),
-	}
-}
-
-// workerStats is the worker's /stats body: the service snapshot plus the
-// shard section.
-type workerStats struct {
-	service.Stats
-	Cluster ClusterStats `json:"cluster"`
-}
-
-func (w *Worker) handleStats(rw http.ResponseWriter, r *http.Request) {
-	w.writeJSON(rw, http.StatusOK, workerStats{Stats: w.svc.StatsSnapshot(), Cluster: w.Stats()})
-}
-
-func (w *Worker) handleMetrics(rw http.ResponseWriter, r *http.Request) {
-	rw.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	w.svc.WritePrometheus(rw)
-	cs := w.Stats()
-	counter := func(name, help string, v int64) {
-		fmt.Fprintf(rw, "# HELP %s %s\n# TYPE %s counter\n%s %d\n", name, help, name, name, v)
-	}
-	counter("regcoal_cluster_peer_fills_total", "Local misses answered from a peer shard's cache.", cs.PeerFills)
-	counter("regcoal_cluster_peer_misses_total", "Peer cache lookups that found nothing.", cs.PeerMisses)
-	counter("regcoal_cluster_peer_pushes_total", "Computed entries pushed to their owning shard.", cs.PeerPushes)
-	counter("regcoal_cluster_peer_errors_total", "Failed peer cache lookups or pushes.", cs.PeerErrors)
-	counter("regcoal_session_repl_pushes_total", "Session op-log records replicated to peers.", cs.SessionReplPushes)
-	counter("regcoal_session_repl_failures_total", "Session op-log replication pushes that failed.", cs.SessionReplFailures)
-	counter("regcoal_session_rebuilds_total", "Sessions rebuilt from a replicated op log after failover.", cs.SessionRebuilds)
-	counter("regcoal_session_rebuild_failures_total", "Session rebuilds that failed to replay.", cs.SessionRebuildFails)
-	counter("regcoal_epoch_rejects_total", "Internal RPCs rejected 409 for a stale topology epoch.", cs.EpochRejects)
-	counter("regcoal_epoch_adoptions_total", "Topology views adopted from a broadcast or 409 exchange.", cs.EpochAdoptions)
-	counter("regcoal_handoff_entries_total", "Cache entries streamed to new owners during resharding.", cs.HandoffEntries)
-	counter("regcoal_handoff_bytes_total", "Serialized bytes of cache entries streamed during resharding.", cs.HandoffBytes)
-	counter("regcoal_handoff_sessions_total", "Sessions exported to new owners (reshard or eviction migration).", cs.HandoffSessions)
-	counter("regcoal_handoff_errors_total", "Handoff pushes that failed after the retry round.", cs.HandoffErrors)
-	counter("regcoal_handoff_rounds_total", "Topology changes that ran a handoff stream.", cs.HandoffRounds)
-	counter("regcoal_session_imports_total", "Sessions made live via the migration import wire.", cs.SessionImports)
-	counter("regcoal_session_import_failures_total", "Migration import records rejected.", cs.SessionImportFails)
-	fmt.Fprintf(rw, "# HELP regcoal_handoff_active Handoff streams currently running.\n# TYPE regcoal_handoff_active gauge\nregcoal_handoff_active %d\n", cs.HandoffActive)
-	if cs.Epoch > 0 {
-		fmt.Fprintf(rw, "# HELP regcoal_topology_epoch Current cluster membership epoch.\n# TYPE regcoal_topology_epoch gauge\nregcoal_topology_epoch %d\n", cs.Epoch)
-	}
-	if len(cs.SessionReplicaLag) > 0 {
-		fmt.Fprintf(rw, "# HELP regcoal_session_replica_lag Un-acked session log pushes per peer (rises on push, falls on ack).\n# TYPE regcoal_session_replica_lag gauge\n")
-		peers := make([]string, 0, len(cs.SessionReplicaLag))
-		for p := range cs.SessionReplicaLag {
-			peers = append(peers, p)
-		}
-		sort.Strings(peers)
-		for _, p := range peers {
-			fmt.Fprintf(rw, "regcoal_session_replica_lag{peer=%q} %d\n", p, cs.SessionReplicaLag[p])
-		}
-	}
-	fmt.Fprintf(rw, "# HELP regcoal_cluster_lane_rejects_total Admission rejections per lane.\n# TYPE regcoal_cluster_lane_rejects_total counter\n")
-	fmt.Fprintf(rw, "regcoal_cluster_lane_rejects_total{lane=\"fast\"} %d\n", cs.FastLaneRejects)
-	fmt.Fprintf(rw, "regcoal_cluster_lane_rejects_total{lane=\"heavy\"} %d\n", cs.HeavyLaneRejects)
-	fmt.Fprintf(rw, "# HELP regcoal_cluster_lane_depth Admitted solves per lane.\n# TYPE regcoal_cluster_lane_depth gauge\n")
-	fmt.Fprintf(rw, "regcoal_cluster_lane_depth{lane=\"fast\"} %d\n", cs.FastLaneDepth)
-	fmt.Fprintf(rw, "regcoal_cluster_lane_depth{lane=\"heavy\"} %d\n", cs.HeavyLaneDepth)
 }
 
 // The write helpers serve the worker's own routes: marshal once, write

@@ -1,9 +1,10 @@
 // Package obs is the service's allocation-free observability layer:
-// log-bucketed atomic latency histograms (histogram.go), per-request
-// traces with phase spans and portfolio-race timelines captured into
-// pooled fixed-size buffers (trace.go, tracer.go), and a strict
-// Prometheus text-format checker (promlint.go) that keeps every tier's
-// /metrics output honest.
+// log-bucketed atomic latency histograms (histogram.go), the registry
+// that declares each counter and gauge family once and renders it to
+// both /metrics and /stats (registry.go), per-request traces with phase
+// spans and portfolio-race timelines captured into pooled fixed-size
+// buffers (trace.go, tracer.go), and a strict Prometheus text-format
+// checker (promlint.go) that keeps every tier's /metrics output honest.
 //
 // The layer is built for the hot path it instruments: recording a
 // latency sample or a span is a handful of atomic operations into
@@ -134,9 +135,9 @@ func (h *Histogram) Summary() QuantileSummary {
 // family. name must be a valid metric name (conventionally ending in
 // _seconds); labels is either empty or a comma-joined list of
 // label="value" pairs appended inside every sample's brace set. The
-// caller writes the HELP/TYPE header once per family via
-// WritePrometheusHeader, so several histograms (e.g. one per endpoint)
-// can share a family distinguished by labels.
+// caller writes the HELP/TYPE header once per family via writeHeader,
+// so several histograms (e.g. one per endpoint) can share a family
+// distinguished by labels.
 func (h *Histogram) WritePrometheus(w io.Writer, name, labels string) {
 	var cum uint64
 	sep := ""
@@ -159,9 +160,9 @@ func (h *Histogram) WritePrometheus(w io.Writer, name, labels string) {
 	fmt.Fprintf(w, "%s_count{%s} %d\n", name, labels, cum)
 }
 
-// WritePrometheusHeader writes a histogram family's HELP/TYPE pair.
-func WritePrometheusHeader(w io.Writer, name, help string) {
-	fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s histogram\n", name, help, name)
+// writeHeader writes a family's HELP/TYPE pair.
+func writeHeader(w io.Writer, name, help, typ string) {
+	fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n", name, help, name, typ)
 }
 
 // formatSeconds renders a nanosecond count as a seconds literal with no

@@ -117,7 +117,7 @@ func (s *Set) WritePrometheus(w io.Writer) {
 			continue
 		}
 		if !headed {
-			WritePrometheusHeader(w, "regcoal_request_duration_seconds", "End-to-end request latency per endpoint.")
+			writeHeader(w, "regcoal_request_duration_seconds", "End-to-end request latency per endpoint.", "histogram")
 			headed = true
 		}
 		s.request[e].WritePrometheus(w, "regcoal_request_duration_seconds", `endpoint="`+e.String()+`"`)
@@ -129,7 +129,7 @@ func (s *Set) WritePrometheus(w io.Writer) {
 				continue
 			}
 			if !headed {
-				WritePrometheusHeader(w, "regcoal_phase_duration_seconds", "Per-phase request latency (decode, canon, peer, cache, race, encode).")
+				writeHeader(w, "regcoal_phase_duration_seconds", "Per-phase request latency (decode, canon, peer, cache, race, encode).", "histogram")
 				headed = true
 			}
 			labels := `endpoint="` + e.String() + `",phase="` + p.String() + `"`

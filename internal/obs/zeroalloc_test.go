@@ -1,16 +1,17 @@
 package obs
 
 import (
+	"sync/atomic"
 	"testing"
 	"time"
 )
 
 // TestZeroAllocInstrumentation is the CI alloc gate for the tentpole
-// contract: recording a latency sample and capturing a full trace —
-// acquire, phase spans, race timeline, finish-to-ring — allocates
-// nothing in steady state. The name matches the bench-smoke job's
-// ZeroAlloc test filter, so a regression here fails CI under the race
-// detector too.
+// contract: recording a latency sample, capturing a full trace —
+// acquire, phase spans, race timeline, finish-to-ring — and counting
+// into an existing label allocate nothing in steady state. The name
+// matches the bench-smoke job's ZeroAlloc test filter, so a regression
+// here fails CI under the race detector too.
 func TestZeroAllocInstrumentation(t *testing.T) {
 	var set Set
 	tracer := NewTracer(32, 8, 0)
@@ -50,6 +51,17 @@ func TestZeroAllocInstrumentation(t *testing.T) {
 		})
 		if allocs != 0 {
 			t.Errorf("span capture allocates %.1f/op, want 0", allocs)
+		}
+	})
+
+	t.Run("LabeledWithExisting", func(t *testing.T) {
+		var won Labeled[atomic.Int64]
+		won.With("aggressive")
+		allocs := testing.AllocsPerRun(1000, func() {
+			won.With("aggressive").Add(1)
+		})
+		if allocs != 0 {
+			t.Errorf("With on an existing label allocates %.1f/op, want 0", allocs)
 		}
 	})
 

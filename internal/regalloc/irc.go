@@ -162,7 +162,6 @@ func (a *IRC) Reset(g *graph.Graph, k int) {
 	}
 }
 
-
 // resize returns s with length n, reusing capacity without zeroing —
 // for buffers the caller fully overwrites before reading.
 func resize[T any](s []T, n int) []T {
@@ -511,7 +510,6 @@ loop:
 	}
 	return res
 }
-
 
 // Check validates the result against the original graph: interfering
 // vertices that both got colors must differ, coalesced classes agree, and

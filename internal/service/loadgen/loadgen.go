@@ -477,8 +477,10 @@ func fire(ctx context.Context, client *http.Client, url, endpoint string, job Jo
 	return sm
 }
 
-// FetchStats retrieves and decodes the service's /stats snapshot.
-func FetchStats(ctx context.Context, client *http.Client, baseURL string) (*service.Stats, error) {
+// FetchStats retrieves a node's /stats body verbatim. Routers, workers
+// and single nodes serve different families, so the body is not decoded
+// into any one shape; it is checked only to be JSON.
+func FetchStats(ctx context.Context, client *http.Client, baseURL string) (json.RawMessage, error) {
 	if client == nil {
 		client = &http.Client{Timeout: 10 * time.Second}
 	}
@@ -498,11 +500,10 @@ func FetchStats(ctx context.Context, client *http.Client, baseURL string) (*serv
 	if resp.StatusCode != http.StatusOK {
 		return nil, fmt.Errorf("loadgen: /stats status %d: %s", resp.StatusCode, truncate(body))
 	}
-	var stats service.Stats
-	if err := json.Unmarshal(body, &stats); err != nil {
-		return nil, fmt.Errorf("loadgen: decoding /stats: %v", err)
+	if !json.Valid(body) {
+		return nil, fmt.Errorf("loadgen: /stats is not JSON: %s", truncate(body))
 	}
-	return &stats, nil
+	return body, nil
 }
 
 func truncate(b []byte) string {

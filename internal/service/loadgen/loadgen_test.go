@@ -79,14 +79,14 @@ func TestFetchStats(t *testing.T) {
 			http.NotFound(w, r)
 			return
 		}
-		w.Write([]byte(`{"coalesce_requests":7,"spill_requests":3}`))
+		w.Write([]byte(`{"router_proxied":7,"requests":{"spill":3}}`))
 	}))
 	defer ts.Close()
 	stats, err := FetchStats(context.Background(), nil, ts.URL)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if stats.CoalesceRequests != 7 || stats.SpillRequests != 3 {
-		t.Fatalf("stats = %+v", stats)
+	if string(stats) != `{"router_proxied":7,"requests":{"spill":3}}` {
+		t.Fatalf("stats = %s", stats)
 	}
 }

@@ -1,26 +1,15 @@
 package service
 
 import (
-	"fmt"
-	"io"
-	"sort"
-	"sync"
 	"sync/atomic"
 	"time"
 
-	"regcoal/internal/coalesce"
 	"regcoal/internal/obs"
-	"regcoal/internal/session"
 )
 
-// Metrics are the service's counters, exported two ways: Prometheus text
-// on GET /metrics and a JSON snapshot on GET /stats. Everything is atomic.
-// Strategy wins use a two-tier map: every strategy the server can race is
-// preregistered at construction into an immutable map, so the hot path
-// (one StrategyWon per completed race) is a lock-free map read plus an
-// atomic add; the mutex-guarded overflow map exists only for names outside
-// the preregistered set (future registry additions reaching an old
-// binary), which by definition are not hot.
+// Metrics are the service's counters. Everything is atomic; the families
+// that render them on GET /metrics and GET /stats are declared once, in
+// declareMetrics.
 type Metrics struct {
 	start time.Time
 
@@ -39,69 +28,47 @@ type Metrics struct {
 	DeadlineHits          atomic.Int64
 	InFlight              atomic.Int64
 
-	knownWins map[string]*atomic.Int64 // immutable after newMetrics
-
-	winsMu sync.Mutex
-	wins   map[string]*atomic.Int64 // overflow: names outside knownWins
-}
-
-func newMetrics() *Metrics {
-	m := &Metrics{
-		start:     time.Now(),
-		knownWins: make(map[string]*atomic.Int64),
-		wins:      make(map[string]*atomic.Int64),
-	}
-	for _, name := range knownStrategyNames() {
-		if _, ok := m.knownWins[name]; !ok {
-			m.knownWins[name] = &atomic.Int64{}
-		}
-	}
-	return m
+	strategyWins obs.Labeled[atomic.Int64] // portfolio races won, per strategy
 }
 
 // StrategyWon counts a portfolio race won by the named strategy.
-func (m *Metrics) StrategyWon(name string) {
-	if c, ok := m.knownWins[name]; ok {
-		c.Add(1)
-		return
-	}
-	m.winsMu.Lock()
-	c, ok := m.wins[name]
-	if !ok {
-		c = &atomic.Int64{}
-		m.wins[name] = c
-	}
-	m.winsMu.Unlock()
-	c.Add(1)
+func (m *Metrics) StrategyWon(name string) { m.strategyWins.With(name).Add(1) }
+
+// declareMetrics declares the service's families (and the session
+// layer's) into its registry.
+func (s *Server) declareMetrics() {
+	m, r := s.metrics, &s.reg
+	r.CounterVec("regcoal_requests_total", "Requests per endpoint.", "endpoint", func(emit func(string, int64)) {
+		emit("coalesce", m.CoalesceRequests.Load())
+		emit("allocate", m.AllocateRequests.Load())
+		emit("spill", m.SpillRequests.Load())
+		emit("delta", m.DeltaRequests.Load())
+	})
+	r.Counter("regcoal_batch_requests_total", "POST /v1/batch requests.", m.BatchRequests.Load)
+	r.Counter("regcoal_batch_graphs_total", "Graphs received inside batch requests.", m.BatchGraphs.Load)
+	r.Counter("regcoal_cache_hits_total", "Requests answered from the result cache.", m.CacheHits.Load)
+	r.Counter("regcoal_cache_misses_total", "Requests that had to compute.", m.CacheMisses.Load)
+	r.Counter("regcoal_cache_evictions_total", "Entries evicted from the result cache.", s.cache.Evictions)
+	r.Counter("regcoal_singleflight_collapses_total", "Requests answered by collapsing onto a concurrent identical request's race.", m.SingleflightCollapses.Load)
+	r.Counter("regcoal_rejected_total", "Requests rejected with 429 (pool saturated or admission lane full).", m.Rejected.Load)
+	r.Counter("regcoal_bad_requests_total", "Requests rejected with 400.", m.BadRequests.Load)
+	r.Counter("regcoal_errors_total", "Requests failed with 5xx.", m.Errors.Load)
+	r.Counter("regcoal_deadline_hits_total", "Races cut off by the request deadline.", m.DeadlineHits.Load)
+	r.Gauge("regcoal_in_flight", "Requests currently being served.", m.InFlight.Load)
+	r.Gauge("regcoal_cache_entries", "Entries in the result cache.", func() int64 { return int64(s.cache.Len()) })
+	r.Gauge("regcoal_queue_depth", "Jobs waiting for a pool worker.", func() int64 { return int64(s.pool.QueueDepth()) })
+	r.Gauge("regcoal_uptime_seconds", "Seconds since server start.", func() int64 { return int64(time.Since(m.start).Seconds()) })
+	r.Gauge("regcoal_pool_workers", "Worker goroutines in the solve pool.", func() int64 { return int64(s.cfg.Workers) })
+	r.CounterVec("regcoal_strategy_wins_total", "Portfolio races won per strategy.", "strategy", m.strategyWins.Read((*atomic.Int64).Load))
+	s.sessions.Metrics().Declare(r)
 }
 
-// winSnapshot reports every strategy with at least one win. Preregistered
-// strategies that never won are omitted, matching the lazy-map behavior
-// this surface always had.
-func (m *Metrics) winSnapshot() map[string]int64 {
-	out := make(map[string]int64, len(m.knownWins))
-	for name, c := range m.knownWins {
-		if v := c.Load(); v > 0 {
-			out[name] = v
-		}
-	}
-	m.winsMu.Lock()
-	defer m.winsMu.Unlock()
-	for name, c := range m.wins {
-		if v := c.Load(); v > 0 {
-			out[name] = v
-		}
-	}
-	return out
-}
-
-// Stats is the JSON snapshot served on /stats.
+// Stats decodes a service's /stats body (clients and tests): the keys of
+// the service's own families. The body itself is the registry snapshot
+// plus the latency section.
 type Stats struct {
 	UptimeSeconds         float64          `json:"uptime_seconds"`
-	CoalesceRequests      int64            `json:"coalesce_requests"`
-	AllocateRequests      int64            `json:"allocate_requests"`
-	SpillRequests         int64            `json:"spill_requests"`
-	DeltaRequests         int64            `json:"delta_requests"`
+	Requests              map[string]int64 `json:"requests"`
 	BatchRequests         int64            `json:"batch_requests"`
 	BatchGraphs           int64            `json:"batch_graphs"`
 	CacheHits             int64            `json:"cache_hits"`
@@ -117,85 +84,6 @@ type Stats struct {
 	QueueDepth            int              `json:"queue_depth"`
 	StrategyWins          map[string]int64 `json:"strategy_wins"`
 	// Latency carries per-endpoint p50/p90/p99 summaries (total and per
-	// phase), filled by Server.StatsSnapshot from the obs histograms.
+	// phase) from the obs histograms.
 	Latency map[string]obs.EndpointSummary `json:"latency,omitempty"`
-	// Sessions carries the delta-session layer's counters, filled by
-	// Server.StatsSnapshot.
-	Sessions *session.StatsSnapshot `json:"sessions,omitempty"`
-}
-
-func (m *Metrics) snapshot(cacheEntries, queueDepth int, cacheEvictions int64) Stats {
-	return Stats{
-		UptimeSeconds:         time.Since(m.start).Seconds(),
-		CoalesceRequests:      m.CoalesceRequests.Load(),
-		AllocateRequests:      m.AllocateRequests.Load(),
-		SpillRequests:         m.SpillRequests.Load(),
-		DeltaRequests:         m.DeltaRequests.Load(),
-		BatchRequests:         m.BatchRequests.Load(),
-		BatchGraphs:           m.BatchGraphs.Load(),
-		CacheHits:             m.CacheHits.Load(),
-		CacheMisses:           m.CacheMisses.Load(),
-		CacheEvictions:        cacheEvictions,
-		CacheEntries:          cacheEntries,
-		SingleflightCollapses: m.SingleflightCollapses.Load(),
-		Rejected:              m.Rejected.Load(),
-		BadRequests:           m.BadRequests.Load(),
-		Errors:                m.Errors.Load(),
-		DeadlineHits:          m.DeadlineHits.Load(),
-		InFlight:              m.InFlight.Load(),
-		QueueDepth:            queueDepth,
-		StrategyWins:          m.winSnapshot(),
-	}
-}
-
-// writePrometheus renders the counters in Prometheus exposition format.
-func (m *Metrics) writePrometheus(w io.Writer, cacheEntries, queueDepth int, cacheEvictions int64) {
-	counter := func(name, help string, v int64) {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n%s %d\n", name, help, name, name, v)
-	}
-	gauge := func(name, help string, v int64) {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s gauge\n%s %d\n", name, help, name, name, v)
-	}
-	fmt.Fprintf(w, "# HELP regcoal_requests_total Requests per endpoint.\n# TYPE regcoal_requests_total counter\n")
-	fmt.Fprintf(w, "regcoal_requests_total{endpoint=\"coalesce\"} %d\n", m.CoalesceRequests.Load())
-	fmt.Fprintf(w, "regcoal_requests_total{endpoint=\"allocate\"} %d\n", m.AllocateRequests.Load())
-	fmt.Fprintf(w, "regcoal_requests_total{endpoint=\"spill\"} %d\n", m.SpillRequests.Load())
-	fmt.Fprintf(w, "regcoal_requests_total{endpoint=\"delta\"} %d\n", m.DeltaRequests.Load())
-	counter("regcoal_batch_requests_total", "POST /v1/batch requests.", m.BatchRequests.Load())
-	counter("regcoal_batch_graphs_total", "Graphs received inside batch requests.", m.BatchGraphs.Load())
-	counter("regcoal_cache_hits_total", "Requests answered from the result cache.", m.CacheHits.Load())
-	counter("regcoal_cache_misses_total", "Requests that had to compute.", m.CacheMisses.Load())
-	counter("regcoal_cache_evictions_total", "Entries evicted from the result cache.", cacheEvictions)
-	counter("regcoal_singleflight_collapses_total", "Requests answered by collapsing onto a concurrent identical request's race.", m.SingleflightCollapses.Load())
-	counter("regcoal_rejected_total", "Requests rejected with 429 (pool saturated).", m.Rejected.Load())
-	counter("regcoal_bad_requests_total", "Requests rejected with 400.", m.BadRequests.Load())
-	counter("regcoal_errors_total", "Requests failed with 5xx.", m.Errors.Load())
-	counter("regcoal_deadline_hits_total", "Races cut off by the request deadline.", m.DeadlineHits.Load())
-	gauge("regcoal_in_flight", "Requests currently being served.", m.InFlight.Load())
-	gauge("regcoal_cache_entries", "Entries in the result cache.", int64(cacheEntries))
-	gauge("regcoal_queue_depth", "Jobs waiting for a pool worker.", int64(queueDepth))
-	gauge("regcoal_uptime_seconds", "Seconds since server start.", int64(time.Since(m.start).Seconds()))
-
-	wins := m.winSnapshot()
-	if len(wins) > 0 {
-		names := make([]string, 0, len(wins))
-		for n := range wins {
-			names = append(names, n)
-		}
-		sort.Strings(names)
-		fmt.Fprintf(w, "# HELP regcoal_strategy_wins_total Portfolio races won per strategy.\n# TYPE regcoal_strategy_wins_total counter\n")
-		for _, n := range names {
-			fmt.Fprintf(w, "regcoal_strategy_wins_total{strategy=%q} %d\n", n, wins[n])
-		}
-	}
-}
-
-// knownStrategyNames is the union of every portfolio member name the
-// server can race — the preregistered strategy-win set.
-func knownStrategyNames() []string {
-	names := append([]string{}, coalesce.StrategyNames()...)
-	names = append(names, "exact")
-	names = append(names, allocNames()...)
-	names = append(names, spillNames()...)
-	return names
 }

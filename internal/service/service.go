@@ -35,7 +35,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"runtime"
 	"sync/atomic"
@@ -152,6 +151,7 @@ type Server struct {
 	pool     *engine.Pool
 	cache    *Cache
 	metrics  *Metrics
+	reg      obs.Registry // the counter and gauge families behind /metrics and /stats
 	lat      *obs.Set
 	tracer   *obs.Tracer
 	mux      *http.ServeMux
@@ -175,7 +175,7 @@ func New(cfg Config) (*Server, error) {
 		cfg:       cfg,
 		pool:      engine.NewPool(cfg.Workers, cfg.QueueCap),
 		cache:     NewCache(cfg.CacheCapacity, cfg.CacheShards),
-		metrics:   newMetrics(),
+		metrics:   &Metrics{start: time.Now()},
 		lat:       obs.NewSet(),
 		tracer:    obs.NewTracer(128, 32, time.Millisecond),
 		mux:       http.NewServeMux(),
@@ -187,6 +187,7 @@ func New(cfg Config) (*Server, error) {
 			Solver:      session.SolverConfig{Budget: cfg.SessionBudget},
 		}),
 	}
+	s.declareMetrics()
 	s.mux.HandleFunc("/v1/coalesce", s.handleSolve(KindCoalesce))
 	s.mux.HandleFunc("/v1/coalesce/delta", s.handleDelta)
 	s.mux.HandleFunc("/v1/allocate", s.handleSolve(KindAllocate))
@@ -206,6 +207,10 @@ func (s *Server) Handler() http.Handler { return s.mux }
 
 // Metrics exposes the counters (for tests and embedding).
 func (s *Server) Metrics() *Metrics { return s.metrics }
+
+// Registry exposes the metric families rendered on /metrics and /stats;
+// an embedder (the cluster worker) declares its own families into it.
+func (s *Server) Registry() *obs.Registry { return &s.reg }
 
 // Config returns the server's effective (default-filled) configuration.
 func (s *Server) Config() Config { return s.cfg }
@@ -558,33 +563,17 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	s.WritePrometheus(w)
-}
-
-// WritePrometheus renders the counter set, the latency histogram
-// families, pool gauges, and Go runtime gauges in Prometheus exposition
-// format (the body of GET /metrics, exposed for embedders that append
-// their own families).
-func (s *Server) WritePrometheus(w io.Writer) {
-	s.metrics.writePrometheus(w, s.cache.Len(), s.pool.QueueDepth(), s.cache.Evictions())
-	s.sessions.Metrics().WritePrometheus(w)
-	fmt.Fprintf(w, "# HELP regcoal_pool_workers Worker goroutines in the solve pool.\n# TYPE regcoal_pool_workers gauge\nregcoal_pool_workers %d\n", s.cfg.Workers)
+	s.reg.WritePrometheus(w)
 	s.lat.WritePrometheus(w)
 	obs.WriteRuntimePrometheus(w)
 }
 
-// StatsSnapshot returns the JSON counter snapshot served on GET /stats
-// (exposed for embedders that wrap it with their own sections).
-func (s *Server) StatsSnapshot() Stats {
-	st := s.metrics.snapshot(s.cache.Len(), s.pool.QueueDepth(), s.cache.Evictions())
-	st.Latency = s.lat.Snapshot()
-	sess := s.sessions.Metrics().Snapshot()
-	st.Sessions = &sess
-	return st
-}
-
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
-	s.writeJSON(w, http.StatusOK, s.StatsSnapshot())
+	st := s.reg.Snapshot()
+	if lat := s.lat.Snapshot(); len(lat) > 0 {
+		st["latency"] = lat
+	}
+	s.writeJSON(w, http.StatusOK, st)
 }
 
 // writeJSON marshals once and writes the exact bytes: the body of a

@@ -273,7 +273,7 @@ func TestObservabilityEndpoints(t *testing.T) {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
-	if stats.CoalesceRequests != 2 || stats.CacheHits != 1 || stats.CacheMisses != 1 {
+	if stats.Requests["coalesce"] != 2 || stats.CacheHits != 1 || stats.CacheMisses != 1 {
 		t.Fatalf("stats %+v", stats)
 	}
 	if stats.CacheEntries != 1 {

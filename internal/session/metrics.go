@@ -1,14 +1,14 @@
 package session
 
 import (
-	"fmt"
-	"io"
 	"sync/atomic"
+
+	"regcoal/internal/obs"
 )
 
-// Metrics is the session layer's counter set, rendered on /metrics as
-// the regcoal_session_* families and on /stats as the "sessions"
-// section. All fields are atomic; the hot path only adds.
+// Metrics is the session layer's counter set, rendered on /metrics and
+// /stats as the regcoal_session_* families (see Declare). All fields are
+// atomic; the hot path only adds.
 type Metrics struct {
 	Created atomic.Int64
 	Closed  atomic.Int64
@@ -29,66 +29,22 @@ type Metrics struct {
 	ChordalWins atomic.Int64 // components won by the chordal-inc member
 }
 
-// WritePrometheus renders the session families in exposition format
-// (appended to the service's /metrics body; passes the strict
-// obs.LintPrometheus checker).
-func (m *Metrics) WritePrometheus(w io.Writer) {
-	counter := func(name, help string, v int64) {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n%s %d\n", name, help, name, name, v)
-	}
-	counter("regcoal_session_created_total", "Delta sessions created.", m.Created.Load())
-	counter("regcoal_session_closed_total", "Delta sessions closed by the client.", m.Closed.Load())
-	counter("regcoal_session_evicted_total", "Delta sessions evicted by the LRU cap.", m.Evicted.Load())
-	counter("regcoal_session_expired_total", "Delta sessions expired by the idle TTL.", m.Expired.Load())
-	counter("regcoal_session_applies_total", "Delta batches applied.", m.Applies.Load())
-	counter("regcoal_session_deltas_total", "Individual delta operations applied.", m.Deltas.Load())
-	counter("regcoal_session_rejected_total", "Delta batches rejected as invalid (400).", m.Rejected.Load())
-	counter("regcoal_session_conflicts_total", "Delta requests rejected on version or base-hash conflict (409).", m.Conflicts.Load())
-	fmt.Fprintf(w, "# HELP regcoal_session_solves_total Session solves per path (cached, memo, incremental, fresh).\n# TYPE regcoal_session_solves_total counter\n")
-	fmt.Fprintf(w, "regcoal_session_solves_total{path=\"cached\"} %d\n", m.PathCached.Load())
-	fmt.Fprintf(w, "regcoal_session_solves_total{path=\"memo\"} %d\n", m.PathMemo.Load())
-	fmt.Fprintf(w, "regcoal_session_solves_total{path=\"incremental\"} %d\n", m.PathIncremental.Load())
-	fmt.Fprintf(w, "regcoal_session_solves_total{path=\"fresh\"} %d\n", m.PathFresh.Load())
-	counter("regcoal_session_chordal_wins_total", "Components whose best answer came from the chordal-inc member.", m.ChordalWins.Load())
-	fmt.Fprintf(w, "# HELP regcoal_session_active Delta sessions currently alive.\n# TYPE regcoal_session_active gauge\nregcoal_session_active %d\n", m.Active.Load())
-}
-
-// StatsSnapshot is the JSON form of the counters (the /stats "sessions"
-// section).
-type StatsSnapshot struct {
-	Created int64 `json:"created"`
-	Closed  int64 `json:"closed"`
-	Evicted int64 `json:"evicted"`
-	Expired int64 `json:"expired"`
-	Active  int64 `json:"active"`
-
-	Applies   int64 `json:"applies"`
-	Deltas    int64 `json:"deltas"`
-	Rejected  int64 `json:"rejected"`
-	Conflicts int64 `json:"conflicts"`
-
-	Solves      map[string]int64 `json:"solves"`
-	ChordalWins int64            `json:"chordal_wins"`
-}
-
-// Snapshot captures the counters.
-func (m *Metrics) Snapshot() StatsSnapshot {
-	return StatsSnapshot{
-		Created:   m.Created.Load(),
-		Closed:    m.Closed.Load(),
-		Evicted:   m.Evicted.Load(),
-		Expired:   m.Expired.Load(),
-		Active:    m.Active.Load(),
-		Applies:   m.Applies.Load(),
-		Deltas:    m.Deltas.Load(),
-		Rejected:  m.Rejected.Load(),
-		Conflicts: m.Conflicts.Load(),
-		Solves: map[string]int64{
-			"cached":      m.PathCached.Load(),
-			"memo":        m.PathMemo.Load(),
-			"incremental": m.PathIncremental.Load(),
-			"fresh":       m.PathFresh.Load(),
-		},
-		ChordalWins: m.ChordalWins.Load(),
-	}
+// Declare declares the session families into r.
+func (m *Metrics) Declare(r *obs.Registry) {
+	r.Counter("regcoal_session_created_total", "Delta sessions created.", m.Created.Load)
+	r.Counter("regcoal_session_closed_total", "Delta sessions closed by the client.", m.Closed.Load)
+	r.Counter("regcoal_session_evicted_total", "Delta sessions evicted by the LRU cap.", m.Evicted.Load)
+	r.Counter("regcoal_session_expired_total", "Delta sessions expired by the idle TTL.", m.Expired.Load)
+	r.Counter("regcoal_session_applies_total", "Delta batches applied.", m.Applies.Load)
+	r.Counter("regcoal_session_deltas_total", "Individual delta operations applied.", m.Deltas.Load)
+	r.Counter("regcoal_session_rejected_total", "Delta batches rejected as invalid (400).", m.Rejected.Load)
+	r.Counter("regcoal_session_conflicts_total", "Delta requests rejected on version or base-hash conflict (409).", m.Conflicts.Load)
+	r.CounterVec("regcoal_session_solves_total", "Session solves per path (cached, memo, incremental, fresh).", "path", func(emit func(string, int64)) {
+		emit("cached", m.PathCached.Load())
+		emit("memo", m.PathMemo.Load())
+		emit("incremental", m.PathIncremental.Load())
+		emit("fresh", m.PathFresh.Load())
+	})
+	r.Counter("regcoal_session_chordal_wins_total", "Components whose best answer came from the chordal-inc member.", m.ChordalWins.Load)
+	r.Gauge("regcoal_session_active", "Delta sessions currently alive.", m.Active.Load)
 }
