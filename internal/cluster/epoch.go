@@ -1,15 +1,15 @@
 package cluster
 
 // Worker side of the epoch protocol. Every internal RPC a worker sends
-// (peer fill, cache push, session log, handoff stream, session import)
-// is stamped with the sender's topology epoch; every internal RPC a
-// worker receives is checked against its own. A mismatch in either
-// direction is a structured 409 carrying the receiver's full view, and
-// the sender reconciles from the rejection alone — adopting the
-// receiver's view when the receiver is ahead, pushing its own view to
-// the receiver when the receiver is behind — then retries the RPC once.
-// Absent or malformed epoch headers are accepted (epoch-agnostic
-// senders: older binaries, manual curl, the router's solve forwards).
+// (peer fill, cache push, session log, handoff stream) is stamped with
+// the sender's topology epoch; every internal RPC a worker receives is
+// checked against its own. A mismatch in either direction is a
+// structured 409 carrying the receiver's full view, and the sender
+// reconciles from the rejection alone — adopting the receiver's view
+// when the receiver is ahead, pushing its own view to the receiver when
+// the receiver is behind — then retries the RPC once. Absent or
+// malformed epoch headers are accepted (epoch-agnostic senders: older
+// binaries, manual curl, the router's solve forwards).
 
 import (
 	"bytes"
@@ -53,8 +53,8 @@ func (w *Worker) checkEpoch(rw http.ResponseWriter, r *http.Request) bool {
 // build constructs a fresh request (it runs again on retry — bodies are
 // single-use), the epoch header is stamped, and a stale-epoch 409 is
 // reconciled and retried exactly once. Any other response — including a
-// 409 that is not a stale-epoch body, such as the session import's
-// "already live" — is returned to the caller with its body intact.
+// 409 that is not a stale-epoch body, such as the session log's gap —
+// is returned to the caller with its body intact.
 func (w *Worker) doEpochRequest(peer string, build func() (*http.Request, error)) (*http.Response, error) {
 	for attempt := 0; ; attempt++ {
 		req, err := build()

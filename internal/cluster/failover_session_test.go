@@ -7,7 +7,9 @@ package cluster_test
 // secondary, which replays the log and answers the exact bytes the
 // uninterrupted primary would have. The reference for "exact bytes" is a
 // single-process service replaying the same log and applying the same
-// batches.
+// batches. Two cases disturb the log on its way: a dropped push the
+// secondary must catch up from, and a versioned apply logged twice, as
+// every handler singleflight collapses onto one apply logs it.
 
 import (
 	"bytes"
@@ -20,6 +22,7 @@ import (
 
 	"regcoal/internal/cluster"
 	"regcoal/internal/corpus"
+	"regcoal/internal/faultinject"
 	"regcoal/internal/service"
 	"regcoal/internal/session"
 )
@@ -32,22 +35,46 @@ func TestSessionFailoverRebuildsFromReplicatedLog(t *testing.T) {
 	cases := []struct {
 		family string
 		kill   int // batches applied on the primary before it dies
+		// dropPush drops the primary's 4th session-log push (the third
+		// delta's record): the secondary must refuse the next record as
+		// a gap and catch up from the primary's full log.
+		dropPush bool
+		// dupAfter > 0 hands the primary's SessionApplied the request,
+		// body and response of batch dupAfter a second time, as every
+		// handler singleflight collapsed onto one versioned apply does.
+		dupAfter int
 	}{
 		{family: "chordal", kill: 3},
 		{family: "chordal", kill: 6},
 		{family: "ssa-pressure", kill: 1},
 		{family: "ssa-pressure", kill: 5},
+		{family: "chordal", kill: 6, dropPush: true},
+		{family: "chordal", kill: 6, dupAfter: 2},
 	}
 	for _, tc := range cases {
-		t.Run(fmt.Sprintf("%s-kill%d", tc.family, tc.kill), func(t *testing.T) {
+		name := fmt.Sprintf("%s-kill%d", tc.family, tc.kill)
+		if tc.dropPush {
+			name += "-droppush"
+		}
+		if tc.dupAfter > 0 {
+			name += fmt.Sprintf("-dup%d", tc.dupAfter)
+		}
+		t.Run(name, func(t *testing.T) {
 			// A minute-long ReadyTTL keeps the primary's readiness from the
 			// create fresh, so the first delta after the kill always tries
 			// the dead primary and retries, rather than probing it first
 			// and failing over without a retry.
-			c := startCluster(t, 3, cluster.InProcessOptions{
+			opts := cluster.InProcessOptions{
 				Service: scfg,
 				Router:  cluster.RouterConfig{ReadyTTL: time.Minute},
-			})
+			}
+			if tc.dropPush {
+				opts.Fault = &faultinject.Plan{Seed: 1, Rules: []faultinject.Rule{{
+					Peer: "*", Mode: faultinject.ModeDrop, Side: faultinject.SideClient,
+					Paths: []string{"/internal/session/log"}, From: 3, To: 4,
+				}}}
+			}
+			c := startCluster(t, 3, opts)
 
 			fams, err := corpus.Select(tc.family)
 			if err != nil {
@@ -111,17 +138,22 @@ func TestSessionFailoverRebuildsFromReplicatedLog(t *testing.T) {
 
 			for i, batch := range batches {
 				if i == tc.kill {
+					lag, ok := c.Workers[primaryIdx].Service.Registry().Snapshot().Labels("session_replica_lag")[secondaryW.URL]
+					if !ok || lag != 0 {
+						t.Fatalf("primary's replica lag for the secondary before the kill: %d (present %v), want 0", lag, ok)
+					}
 					if err := c.StopWorker(primaryIdx); err != nil {
 						t.Fatal(err)
 					}
 				}
 				v := int64(i)
-				body, err := json.Marshal(service.DeltaRequest{
+				req := service.DeltaRequest{
 					SessionID: created.SessionID,
 					BaseHash:  created.BaseHash,
 					Version:   &v,
 					Deltas:    batch,
-				})
+				}
+				body, err := json.Marshal(req)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -143,6 +175,20 @@ func TestSessionFailoverRebuildsFromReplicatedLog(t *testing.T) {
 				if i >= tc.kill && shard != secondaryW.URL {
 					t.Fatalf("delta %d landed on %s after the kill, want secondary %s", i, shard, secondaryW.URL)
 				}
+				if i == tc.dupAfter && i > 0 {
+					var resp service.DeltaResponse
+					if err := json.Unmarshal(got, &resp); err != nil {
+						t.Fatal(err)
+					}
+					c.Workers[primaryIdx].Worker.SessionApplied(&req, body, &resp)
+				}
+			}
+			wantGaps := int64(0)
+			if tc.dropPush {
+				wantGaps = 1
+			}
+			if gaps := secondaryW.Service.Registry().Snapshot().Int("session_log_gaps"); gaps != wantGaps {
+				t.Fatalf("secondary refused %d records as gaps, want %d", gaps, wantGaps)
 			}
 
 			if rebuilds := secondaryW.Service.Registry().Snapshot().Int("session_rebuilds"); rebuilds != 1 {

@@ -87,47 +87,13 @@ func StartInProcess(n int, opts InProcessOptions) (*InProcess, error) {
 	}
 	c.urls = append(c.urls, urls...)
 
-	var namer func(*http.Request) string
-	if opts.Fault != nil {
-		namer = faultinject.NameMap(urls)
-	}
-
-	for i := 0; i < n; i++ {
-		svc, err := service.New(opts.Service)
-		if err != nil {
-			for _, l := range listeners[i:] {
+	for i, ln := range listeners {
+		if _, err := c.launch(ln, urls); err != nil {
+			for _, l := range listeners[i+1:] {
 				l.Close()
 			}
 			return fail(err)
 		}
-		wcfg := opts.Worker
-		wcfg.Self = urls[i]
-		wcfg.Peers = urls
-		var inj *faultinject.Injector
-		if opts.Fault != nil {
-			inj = faultinject.New(opts.Fault)
-			wcfg.Client = &http.Client{
-				Timeout:   2 * time.Second,
-				Transport: inj.Transport(nil, namer),
-			}
-		}
-		w, err := NewWorker(svc, wcfg)
-		if err != nil {
-			svc.Close()
-			for _, l := range listeners[i:] {
-				l.Close()
-			}
-			return fail(err)
-		}
-		var handler http.Handler = w
-		if inj != nil {
-			handler = inj.Middleware(fmt.Sprintf("w%d", i), handler)
-		}
-		node := &InProcessWorker{Service: svc, Worker: w, URL: urls[i], Injector: inj}
-		srv := &http.Server{Handler: handler}
-		go srv.Serve(listeners[i])
-		c.Workers = append(c.Workers, node)
-		c.servers = append(c.servers, srv)
 	}
 
 	rcfg := opts.Router
@@ -144,7 +110,7 @@ func StartInProcess(n int, opts InProcessOptions) (*InProcess, error) {
 		c.RouterInjector = faultinject.New(opts.Fault)
 		rcfg.Client = &http.Client{
 			Timeout:   60 * time.Second,
-			Transport: c.RouterInjector.Transport(nil, namer),
+			Transport: c.RouterInjector.Transport(nil, faultinject.NameMap(urls)),
 		}
 	}
 	router, err := NewRouter(rcfg)
@@ -175,15 +141,23 @@ func (c *InProcess) AddWorker() (*InProcessWorker, error) {
 		return nil, fmt.Errorf("cluster: listen: %w", err)
 	}
 	url := "http://" + ln.Addr().String()
+	c.urls = append(c.urls, url)
+	return c.launch(ln, append(append([]string(nil), c.Router.Topology().View().Nodes...), url))
+}
+
+// launch starts one worker serving on ln with the given peer list, which
+// must include the worker's own URL. Fault plans name it "w<i>" by
+// launch order; its injector names peers from every URL launched so far.
+// On failure ln is closed.
+func (c *InProcess) launch(ln net.Listener, peers []string) (*InProcessWorker, error) {
+	url := "http://" + ln.Addr().String()
 	svc, err := service.New(c.opts.Service)
 	if err != nil {
 		ln.Close()
 		return nil, err
 	}
 	wcfg := c.opts.Worker
-	wcfg.Self = url
-	wcfg.Peers = append(append([]string(nil), c.Router.Topology().View().Nodes...), url)
-	c.urls = append(c.urls, url)
+	wcfg.Self, wcfg.Peers = url, peers
 	var inj *faultinject.Injector
 	if c.opts.Fault != nil {
 		inj = faultinject.New(c.opts.Fault)

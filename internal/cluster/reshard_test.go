@@ -108,7 +108,7 @@ func TestTopologyAdminAPI(t *testing.T) {
 func TestStaleEpochRejectedOnInternalRPC(t *testing.T) {
 	c := startCluster(t, 2, cluster.InProcessOptions{})
 
-	req, err := http.NewRequest(http.MethodPost, c.Workers[0].URL+"/internal/session/import",
+	req, err := http.NewRequest(http.MethodPost, c.Workers[0].URL+"/internal/session/log",
 		bytes.NewReader([]byte(`{"session_id":"s-x","base_hash":"h","version":0,"create":{}}`)))
 	if err != nil {
 		t.Fatal(err)
@@ -536,8 +536,7 @@ func TestReshardMetricsLintClean(t *testing.T) {
 			"regcoal_handoff_errors_total",
 			"regcoal_handoff_rounds_total",
 			"regcoal_handoff_active",
-			"regcoal_session_imports_total",
-			"regcoal_session_import_failures_total",
+			"regcoal_session_log_gaps_total",
 		} {
 			if !bytes.Contains([]byte(wm), []byte(family)) {
 				t.Fatalf("worker %s metrics missing %q", w.URL, family)
@@ -549,18 +548,18 @@ func TestReshardMetricsLintClean(t *testing.T) {
 	}
 }
 
-// FuzzImportSession throws arbitrary bytes at the migration import
-// endpoint: malformed records, truncated or duplicated op logs, and
-// wire-format mutations must come back as structured 4xx (or the
-// idempotent 409) — never a 5xx, never a panic.
-func FuzzImportSession(f *testing.F) {
+// FuzzSessionLog throws arbitrary bytes at the session-log wire:
+// malformed records, truncated or duplicated op logs, gapped suffixes,
+// closes and wire-format mutations must come back as a 204, a
+// structured 4xx or the gap 409 — never a 5xx, never a panic.
+func FuzzSessionLog(f *testing.F) {
 	scfg := service.Config{Workers: 1, QueueCap: 16}
 	c, err := cluster.StartInProcess(1, cluster.InProcessOptions{Service: scfg})
 	if err != nil {
 		f.Fatal(err)
 	}
 	f.Cleanup(c.Close)
-	target := c.Workers[0].URL + "/internal/session/import"
+	target := c.Workers[0].URL + "/internal/session/log"
 
 	spec := `{"vertices":4,"k":3,"edges":[[0,1],[1,2]]}`
 	create := fmt.Sprintf(`{"op":"create","graph":%s}`, spec)
@@ -575,6 +574,12 @@ func FuzzImportSession(f *testing.F) {
 	f.Add([]byte(`{"session_id":"s-5","unknown_field":true}`))
 	f.Add([]byte(`not json at all`))
 	f.Add([]byte(``))
+	// A suffix continuing s-2's log, one leaving a gap after it, one with
+	// no log to extend, and a close.
+	f.Add([]byte(fmt.Sprintf(`{"session_id":"s-2","base_hash":"h","version":2,"deltas":[%s]}`, delta)))
+	f.Add([]byte(fmt.Sprintf(`{"session_id":"s-2","base_hash":"h","version":5,"deltas":[%s]}`, delta)))
+	f.Add([]byte(fmt.Sprintf(`{"session_id":"s-6","base_hash":"h","version":1,"deltas":[%s]}`, delta)))
+	f.Add([]byte(`{"session_id":"s-2","base_hash":"h","version":0,"closed":true}`))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		resp, err := http.Post(target, "application/json", bytes.NewReader(data))
@@ -585,7 +590,7 @@ func FuzzImportSession(f *testing.F) {
 		if resp.StatusCode >= http.StatusInternalServerError {
 			var buf bytes.Buffer
 			buf.ReadFrom(resp.Body)
-			t.Fatalf("import answered %d for %q: %s", resp.StatusCode, data, buf.Bytes())
+			t.Fatalf("session log answered %d for %q: %s", resp.StatusCode, data, buf.Bytes())
 		}
 	})
 }

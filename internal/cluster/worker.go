@@ -62,14 +62,13 @@ type Worker struct {
 
 	sessLogs *sessionLogs
 
-	replLag obs.Labeled[atomic.Int64] // per-peer un-acked log pushes
-
 	peerFills       atomic.Int64 // local misses answered from a peer's cache
 	peerMisses      atomic.Int64 // peer lookups that found nothing
 	peerErrors      atomic.Int64 // peer lookups/pushes that failed
 	peerPushes      atomic.Int64 // computed entries pushed to replica owners
 	replPushes      atomic.Int64 // session log records replicated to peers
 	replFailures    atomic.Int64 // ...that failed
+	logGaps         atomic.Int64 // session log records that did not extend a log contiguously
 	rebuilds        atomic.Int64 // sessions rebuilt from a replicated log
 	rebuildFailures atomic.Int64 // ...that failed to replay
 	laneRejects     [2]atomic.Int64
@@ -78,12 +77,10 @@ type Worker struct {
 	epochAdoptions  atomic.Int64 // topology views adopted (broadcast or 409 exchange)
 	handoffEntries  atomic.Int64 // cache entries streamed to new owners
 	handoffBytes    atomic.Int64 // ...their serialized size
-	handoffSessions atomic.Int64 // sessions exported to new primaries
+	handoffSessions atomic.Int64 // session logs shipped to new owners
 	handoffErrors   atomic.Int64 // handoff pushes that failed after retry
 	handoffRounds   atomic.Int64 // topology changes that ran a handoff
 	handoffActive   atomic.Int64 // handoffs currently streaming (gauge)
-	sessionImports  atomic.Int64 // sessions imported (made live) via migration
-	importFailures  atomic.Int64 // import records rejected
 }
 
 // WorkerConfig parameterizes a Worker. Self and Peers use the same base
@@ -141,16 +138,8 @@ func NewWorker(svc *service.Server, cfg WorkerConfig) (*Worker, error) {
 	}
 	if cfg.Self != "" && len(cfg.Peers) > 0 {
 		w.topo = NewTopology(cfg.Peers, cfg.VNodes)
-		// Prefill the lag gauges for the initial peer set so the metrics
-		// family is present from the first scrape; peers that join later
-		// get theirs on first push.
-		for _, p := range cfg.Peers {
-			if p != cfg.Self {
-				w.replLag.With(p)
-			}
-		}
 		// LRU eviction is a migration trigger: an evicted session's op
-		// log is re-pushed so the session survives as rebuildable state
+		// log is re-shipped so the session survives as rebuildable state
 		// on its current replica set even after a reshard moved it.
 		svc.Sessions().SetEvictHook(w.onSessionEvict)
 	}
@@ -160,8 +149,7 @@ func NewWorker(svc *service.Server, cfg WorkerConfig) (*Worker, error) {
 	svc.SetTier(w)
 	w.declareMetrics(svc.Registry())
 	w.mux.HandleFunc("/internal/cache", w.handleInternalCache)
-	w.mux.HandleFunc("/internal/session/log", w.handleInternalSessionLog)
-	w.mux.HandleFunc("/internal/session/import", w.handleSessionImport)
+	w.mux.HandleFunc("/internal/session/log", w.handleSessionLog)
 	w.mux.HandleFunc("/internal/topology", w.handleInternalTopology)
 	// The /v1/* endpoints, /metrics and /stats (which render the families
 	// declared above), liveness, readiness, and anything else stay the
@@ -179,23 +167,22 @@ func (w *Worker) declareMetrics(r *obs.Registry) {
 	r.Counter("regcoal_cluster_peer_errors_total", "Failed peer cache lookups or pushes.", w.peerErrors.Load)
 	r.Counter("regcoal_session_repl_pushes_total", "Session op-log records replicated to peers.", w.replPushes.Load)
 	r.Counter("regcoal_session_repl_failures_total", "Session op-log replication pushes that failed.", w.replFailures.Load)
+	r.Counter("regcoal_session_log_gaps_total", "Session op-log records, local or received, that did not extend a log contiguously.", w.logGaps.Load)
 	r.Counter("regcoal_session_rebuilds_total", "Sessions rebuilt from a replicated op log after failover.", w.rebuilds.Load)
 	r.Counter("regcoal_session_rebuild_failures_total", "Session rebuilds that failed to replay.", w.rebuildFailures.Load)
 	r.Counter("regcoal_epoch_rejects_total", "Internal RPCs rejected 409 for a stale topology epoch.", w.epochRejects.Load)
 	r.Counter("regcoal_epoch_adoptions_total", "Topology views adopted from a broadcast or 409 exchange.", w.epochAdoptions.Load)
 	r.Counter("regcoal_handoff_entries_total", "Cache entries streamed to new owners during resharding.", w.handoffEntries.Load)
 	r.Counter("regcoal_handoff_bytes_total", "Serialized bytes of cache entries streamed during resharding.", w.handoffBytes.Load)
-	r.Counter("regcoal_handoff_sessions_total", "Sessions exported to new owners (reshard or eviction migration).", w.handoffSessions.Load)
+	r.Counter("regcoal_handoff_sessions_total", "Session op logs shipped to new owners (reshard or eviction migration).", w.handoffSessions.Load)
 	r.Counter("regcoal_handoff_errors_total", "Handoff pushes that failed after the retry round.", w.handoffErrors.Load)
 	r.Counter("regcoal_handoff_rounds_total", "Topology changes that ran a handoff stream.", w.handoffRounds.Load)
-	r.Counter("regcoal_session_imports_total", "Sessions made live via the migration import wire.", w.sessionImports.Load)
-	r.Counter("regcoal_session_import_failures_total", "Migration import records rejected.", w.importFailures.Load)
 	r.Gauge("regcoal_handoff_active", "Handoff streams currently running.", w.handoffActive.Load)
 	r.Gauge("regcoal_session_logs", "Session op logs held for rebuild or migration.", func() int64 { return int64(w.sessLogs.len()) })
 	if w.topo != nil {
 		r.Gauge("regcoal_topology_epoch", "Current cluster membership epoch.", func() int64 { return int64(w.topo.View().Epoch) })
 	}
-	r.GaugeVec("regcoal_session_replica_lag", "Un-acked session log pushes per peer (rises on push, falls on ack).", "peer", w.replLag.Read((*atomic.Int64).Load))
+	r.GaugeVec("regcoal_session_replica_lag", "Sessions held here whose last op-log ship to the peer failed.", "peer", w.replicaLag)
 	r.CounterVec("regcoal_cluster_lane_rejects_total", "Admission rejections per lane.", "lane", func(emit func(string, int64)) {
 		emit("fast", w.laneRejects[LaneFast].Load())
 		emit("heavy", w.laneRejects[LaneHeavy].Load())
@@ -322,27 +309,43 @@ func (w *Worker) Computed(p *service.Prepared, tr *obs.Trace) {
 		if owner == w.cfg.Self {
 			continue
 		}
-		resp, err := w.doEpochRequest(owner, func() (*http.Request, error) {
-			req, err := http.NewRequest(http.MethodPut, owner+"/internal/cache?key="+url.QueryEscape(p.Key()), bytes.NewReader(data))
-			if err != nil {
-				return nil, err
-			}
-			req.Header.Set("Content-Type", "application/json")
-			setTraceHeader(req, tr)
-			return req, nil
-		})
-		if err != nil {
-			w.peerErrors.Add(1)
-			continue
-		}
-		io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusNoContent && resp.StatusCode != http.StatusOK {
+		if err := w.putEntry(owner, p.Key(), data, tr); err != nil {
 			w.peerErrors.Add(1)
 			continue
 		}
 		w.peerPushes.Add(1)
 	}
+}
+
+// putEntry sends one serialized cache entry to peer over the peer-fill
+// wire (idempotent PUT /internal/cache).
+func (w *Worker) putEntry(peer, key string, data []byte, tr *obs.Trace) error {
+	status, err := w.send(peer, http.MethodPut, "/internal/cache?key="+url.QueryEscape(key), data, tr)
+	if err == nil && status != http.StatusNoContent && status != http.StatusOK {
+		err = fmt.Errorf("cache push %s to %s: status %d", key, peer, status)
+	}
+	return err
+}
+
+// send performs one internal RPC with a JSON body under the epoch
+// protocol, stamped with tr's trace ID when tr is non-nil, and returns
+// the response status with its body drained.
+func (w *Worker) send(peer, method, path string, body []byte, tr *obs.Trace) (int, error) {
+	resp, err := w.doEpochRequest(peer, func() (*http.Request, error) {
+		req, err := http.NewRequest(method, peer+path, bytes.NewReader(body))
+		if err != nil {
+			return nil, err
+		}
+		req.Header.Set("Content-Type", "application/json")
+		setTraceHeader(req, tr)
+		return req, nil
+	})
+	if err != nil {
+		return 0, err
+	}
+	io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+	return resp.StatusCode, nil
 }
 
 // handleInternalCache is the peer-fill wire: GET returns the serialized

@@ -77,7 +77,7 @@ type Rule struct {
 	// one of these prefixes, and switches the rule onto its own
 	// per-(rule, peer, side) request counter — its window counts only
 	// matching requests. This is how chaos plans reach internal traffic
-	// (handoff streams, session imports) that path-less rules
+	// (handoff streams, session logs) that path-less rules
 	// deliberately never touch: {"paths": ["/internal/cache"], "mode":
 	// "drop", "from": 2} kills a handoff push mid-stream without
 	// perturbing solve traffic or the legacy counters existing plans'
@@ -381,7 +381,7 @@ func (t *transport) RoundTrip(req *http.Request) (*http.Response, error) {
 // perturb where work happens, not whether the cluster can observe
 // itself. Path-scoped rules reach whatever their prefixes name,
 // including /internal/* — that is how a plan kills a handoff stream or
-// session import mid-flight.
+// session log ship mid-flight.
 func (in *Injector) Middleware(self string, next http.Handler) http.Handler {
 	return http.HandlerFunc(func(rw http.ResponseWriter, r *http.Request) {
 		act, ok := Action{}, false

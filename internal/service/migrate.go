@@ -1,14 +1,10 @@
 package service
 
 // Service-side surface of the cluster's resharding protocol: cache key
-// enumeration for the handoff stream and session export/import built on
-// the deterministic replay machinery.
+// enumeration for the handoff stream. Sessions migrate as their op log
+// and rebuild through ReplaySession.
 
-import (
-	"strings"
-
-	"regcoal/internal/session"
-)
+import "strings"
 
 // CacheKeys returns every resident cache key. The cluster's handoff
 // engine walks these on a topology change to find the entries whose hash
@@ -24,20 +20,4 @@ func KeyRoutingHash(key string) string {
 		return key[i+1:]
 	}
 	return key
-}
-
-// ExportSession serializes live session id for migration: the raw op
-// log (owned by the caller's replication layer) pinned to the live
-// session's base hash and version. See session.Store.Export.
-func (s *Server) ExportSession(id string, create []byte, deltas [][]byte) (*session.ExportRecord, error) {
-	return s.sessions.Export(id, create, deltas)
-}
-
-// ImportSession validates an exported session record and rebuilds the
-// session by deterministic replay, registering it under its original id.
-// Validation failures and replay rejections are ClientErrors (4xx via
-// ErrorStatus); a session already live under the id is the replay path's
-// 409.
-func (s *Server) ImportSession(rec *session.ExportRecord) error {
-	return s.sessions.Import(rec, s.ReplaySession)
 }

@@ -20,10 +20,11 @@ import (
 
 // ReplaySession rebuilds session id from its replicated op log: create
 // is the original create request body, deltas the ordered delta request
-// bodies that were applied since. The session registers under the same
+// bodies that were applied since (a full session.ExportRecord's Create
+// and Deltas pass straight in). The session registers under the same
 // id (409 inside if it is already live). baseHash, when empty, is
 // recomputed from the base graph exactly like handleDelta does.
-func (s *Server) ReplaySession(id, baseHash string, create []byte, deltas [][]byte) error {
+func (s *Server) ReplaySession(id, baseHash string, create []byte, deltas []json.RawMessage) error {
 	var req DeltaRequest
 	if err := json.Unmarshal(create, &req); err != nil {
 		return fmt.Errorf("replay %s: decoding create: %w", id, err)

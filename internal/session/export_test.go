@@ -1,9 +1,9 @@
 package session
 
-// Unit tests for the migration wire format: ExportRecord validation (the
-// truncation/duplication guard), Store.Export's live-state pinning, and
-// Store.Import's replay delegation. The cluster layer's fuzz and
-// differential tests cover the HTTP surface; these pin the pure logic.
+// Unit tests for the session-log record: ExportRecord validation (the
+// truncation/duplication guard) across its three forms, and Extend, the
+// append rule every holder of a log applies. The cluster layer's fuzz
+// and failover tests cover the HTTP surface; these pin the pure logic.
 
 import (
 	"encoding/json"
@@ -11,7 +11,6 @@ import (
 	"net/http"
 	"strings"
 	"testing"
-	"time"
 )
 
 func validRecord() *ExportRecord {
@@ -25,8 +24,13 @@ func validRecord() *ExportRecord {
 }
 
 func TestExportRecordValidate(t *testing.T) {
-	if err := validRecord().Validate(); err != nil {
-		t.Fatalf("valid record rejected: %v", err)
+	suffix := validRecord()
+	suffix.Create = nil
+	closed := &ExportRecord{SessionID: "s-abc", BaseHash: "deadbeef", Closed: true}
+	for _, rec := range []*ExportRecord{validRecord(), suffix, closed} {
+		if err := rec.Validate(); err != nil {
+			t.Fatalf("valid record %+v rejected: %v", rec, err)
+		}
 	}
 	cases := []struct {
 		name string
@@ -34,7 +38,9 @@ func TestExportRecordValidate(t *testing.T) {
 		want string
 	}{
 		{"missing session id", func(r *ExportRecord) { r.SessionID = "" }, "missing session_id"},
-		{"missing create", func(r *ExportRecord) { r.Create = nil }, "missing create"},
+		{"suffix without deltas", func(r *ExportRecord) { r.Create, r.Deltas = nil, nil }, "carries no deltas"},
+		{"suffix before version 0", func(r *ExportRecord) { r.Create, r.Version = nil, 1 }, "start before version 0"},
+		{"close with ops", func(r *ExportRecord) { r.Closed = true }, "a close carries no"},
 		{"create not JSON", func(r *ExportRecord) { r.Create = json.RawMessage(`{"op":`) }, "not valid JSON"},
 		{"negative version", func(r *ExportRecord) { r.Version = -1 }, "negative version"},
 		{"truncated log", func(r *ExportRecord) { r.Deltas = r.Deltas[:1] }, "truncated or duplicated"},
@@ -59,106 +65,6 @@ func TestExportRecordValidate(t *testing.T) {
 	}
 }
 
-func TestStoreExportPinsLiveState(t *testing.T) {
-	st := NewStore(StoreConfig{MaxSessions: 4, TTL: time.Minute})
-	s, err := st.CreateWithID("s-exp", base4(t), 0, "hash-exp")
-	if err != nil {
-		t.Fatal(err)
-	}
-	create := []byte(`{"op":"create","graph":{}}`)
-	delta := []byte(`{"deltas":[{"op":"add_vertex"}]}`)
-
-	rec, err := st.Export("s-exp", create, nil)
-	if err != nil {
-		t.Fatalf("export at version 0: %v", err)
-	}
-	if rec.SessionID != "s-exp" || rec.BaseHash != "hash-exp" || rec.Version != 0 || len(rec.Deltas) != 0 {
-		t.Fatalf("export record %+v", rec)
-	}
-	if string(rec.Create) != string(create) {
-		t.Fatalf("create body %s", rec.Create)
-	}
-	// The record must be a deep copy: mutating the caller's byte slices
-	// after export must not corrupt it.
-	create[0] = 'X'
-	if string(rec.Create) == string(create) {
-		t.Fatal("export aliased the caller's create body")
-	}
-
-	// Advance the live session; a log that didn't keep up is a 409, not
-	// a silently stale export.
-	if _, err := s.Apply([]Delta{{Op: OpAddVertex}}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := st.Export("s-exp", rec.Create, nil); err == nil {
-		t.Fatal("export with lagging log succeeded")
-	} else {
-		var ce *ClientError
-		if !errors.As(err, &ce) || ce.Status != http.StatusConflict {
-			t.Fatalf("want 409 ClientError, got %v", err)
-		}
-	}
-	rec2, err := st.Export("s-exp", rec.Create, [][]byte{delta})
-	if err != nil {
-		t.Fatalf("export at version 1: %v", err)
-	}
-	if rec2.Version != 1 || len(rec2.Deltas) != 1 || string(rec2.Deltas[0]) != string(delta) {
-		t.Fatalf("export record %+v", rec2)
-	}
-	if err := rec2.Validate(); err != nil {
-		t.Fatalf("exported record fails its own validation: %v", err)
-	}
-
-	// No create body in the log: the session cannot be reconstructed, so
-	// exporting it would ship an unreplayable record.
-	if _, err := st.Export("s-exp", nil, nil); err == nil {
-		t.Fatal("export without create body succeeded")
-	}
-	// Unknown session: the store's own 404.
-	if _, err := st.Export("s-nope", rec.Create, nil); err == nil {
-		t.Fatal("export of unknown session succeeded")
-	}
-}
-
-func TestStoreImportDelegatesToReplay(t *testing.T) {
-	st := NewStore(StoreConfig{MaxSessions: 4, TTL: time.Minute})
-	rec := validRecord()
-
-	var gotID, gotHash string
-	var gotCreate []byte
-	var gotDeltas [][]byte
-	err := st.Import(rec, func(id, baseHash string, create []byte, deltas [][]byte) error {
-		gotID, gotHash, gotCreate, gotDeltas = id, baseHash, create, deltas
-		return nil
-	})
-	if err != nil {
-		t.Fatalf("import: %v", err)
-	}
-	if gotID != rec.SessionID || gotHash != rec.BaseHash {
-		t.Fatalf("replay got id=%q hash=%q", gotID, gotHash)
-	}
-	if string(gotCreate) != string(rec.Create) || len(gotDeltas) != 2 {
-		t.Fatalf("replay got create=%s deltas=%d", gotCreate, len(gotDeltas))
-	}
-
-	// A record that fails validation never reaches replay.
-	bad := validRecord()
-	bad.Deltas = bad.Deltas[:1]
-	called := false
-	err = st.Import(bad, func(string, string, []byte, [][]byte) error { called = true; return nil })
-	if err == nil || called {
-		t.Fatalf("invalid record: err=%v replayCalled=%v", err, called)
-	}
-
-	// Replay errors surface unchanged (the service layer owns their
-	// status mapping).
-	want := Errf(http.StatusConflict, "already live")
-	err = st.Import(rec, func(string, string, []byte, [][]byte) error { return want })
-	if !errors.Is(err, want) && err != want {
-		t.Fatalf("replay error not surfaced: %v", err)
-	}
-}
-
 func TestExportRecordJSONRoundTrip(t *testing.T) {
 	rec := validRecord()
 	body, err := json.Marshal(rec)
@@ -175,5 +81,75 @@ func TestExportRecordJSONRoundTrip(t *testing.T) {
 	}
 	if err := back.Validate(); err != nil {
 		t.Fatalf("round-tripped record invalid: %v", err)
+	}
+}
+
+func TestExportRecordExtend(t *testing.T) {
+	raw := func(s string) json.RawMessage { return json.RawMessage(s) }
+	create := raw(`{"op":"create"}`)
+	d := []json.RawMessage{raw(`{"deltas":[0]}`), raw(`{"deltas":[1]}`), raw(`{"deltas":[2]}`)}
+	full := func(v int) *ExportRecord {
+		return &ExportRecord{SessionID: "s", BaseHash: "h", Version: int64(v), Create: create, Deltas: d[:v]}
+	}
+	suffix := func(from, to int) *ExportRecord {
+		return &ExportRecord{SessionID: "s", BaseHash: "h", Version: int64(to), Deltas: d[from:to]}
+	}
+	cases := []struct {
+		name      string
+		held, add *ExportRecord
+		want      *ExportRecord // nil: no log held afterwards
+		gap       bool
+	}{
+		{"full into absent log", nil, full(1), full(1), false},
+		{"suffix into absent log", nil, suffix(0, 1), nil, true},
+		{"close of absent log", nil, &ExportRecord{SessionID: "s", Closed: true}, nil, false},
+		{"contiguous suffix", full(1), suffix(1, 2), full(2), false},
+		{"two-delta suffix", full(1), suffix(1, 3), full(3), false},
+		{"duplicate suffix", full(2), suffix(1, 2), full(2), false},
+		{"duplicate full", full(2), full(1), full(2), false},
+		{"gap", full(1), suffix(2, 3), full(1), true},
+		{"overlapping suffix", full(2), suffix(1, 3), full(2), true},
+		{"full replaces older log", full(1), full(3), full(3), false},
+		{"close drops log", full(2), &ExportRecord{SessionID: "s", Closed: true}, nil, false},
+	}
+	for _, tc := range cases {
+		got, err := tc.held.Extend(tc.add)
+		var ce *ClientError
+		if tc.gap != (err != nil) || (err != nil && (!errors.As(err, &ce) || ce.Status != http.StatusConflict)) {
+			t.Fatalf("%s: err %v, want gap %v as a 409", tc.name, err, tc.gap)
+		}
+		if tc.gap && !strings.Contains(err.Error(), "gap") {
+			t.Fatalf("%s: error %q does not name the gap", tc.name, err)
+		}
+		gotJSON, _ := json.Marshal(got)
+		wantJSON, _ := json.Marshal(tc.want)
+		if string(gotJSON) != string(wantJSON) {
+			t.Fatalf("%s: log\n%s\nwant\n%s", tc.name, gotJSON, wantJSON)
+		}
+		if got != nil {
+			if err := got.Validate(); err != nil || got.Create == nil {
+				t.Fatalf("%s: held log is not a full log: %+v (%v)", tc.name, got, err)
+			}
+		}
+	}
+
+	// Extend is pure: a full log is stored as a copy, and extending a log
+	// leaves the log it extended as it was.
+	add := &ExportRecord{SessionID: "s", Version: 1, Create: raw(`{"op":"create"}`), Deltas: []json.RawMessage{raw(`{"deltas":[0]}`)}}
+	held, err := (*ExportRecord)(nil).Extend(add)
+	if err != nil {
+		t.Fatal(err)
+	}
+	add.Create[2], add.Deltas[0][2] = 'X', 'X'
+	if string(held.Create) != `{"op":"create"}` || string(held.Deltas[0]) != `{"deltas":[0]}` {
+		t.Fatalf("stored log aliases the record it was built from: %s %s", held.Create, held.Deltas[0])
+	}
+	next, err := held.Extend(suffix(1, 2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if held.Version != 1 || len(held.Deltas) != 1 || next.Version != 2 || len(next.Deltas) != 2 {
+		t.Fatalf("extending changed the held log: held v%d/%d, next v%d/%d",
+			held.Version, len(held.Deltas), next.Version, len(next.Deltas))
 	}
 }
