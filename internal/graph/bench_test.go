@@ -71,3 +71,36 @@ func BenchmarkAddEdgeBuild(b *testing.B) {
 		}
 	}
 }
+
+// canonSink keeps the canonical-form benchmark's result live.
+var canonSink *Canonical
+
+// BenchmarkCanonicalForm prices the cache key every solve request pays,
+// hit or miss: "hot" is sized like servebench's hot mix (~40 vertices,
+// ~190 edges, ~30 moves), "dense300" like cmd/bench -perf's
+// canon/dense300-p50.
+func BenchmarkCanonicalForm(b *testing.B) {
+	for _, c := range []struct {
+		name   string
+		n      int
+		p      float64
+		moves  int
+		weight int
+	}{
+		{"hot", 40, 0.245, 30, 50},
+		{"dense300", 300, 0.50, 150, 8},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			rng := rand.New(rand.NewSource(42))
+			g := RandomER(rng, c.n, c.p)
+			SprinkleAffinities(rng, g, c.moves, c.weight)
+			g.SetPrecolored(0, 0)
+			f := &File{G: g, K: 8}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				canonSink = CanonicalForm(f)
+			}
+		})
+	}
+}

@@ -1,12 +1,12 @@
 package graph
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
-	"fmt"
-	"sort"
+	"slices"
 	"strconv"
-	"strings"
+	"sync"
 )
 
 // Canonical graph hashing for result caching: two requests carrying the
@@ -18,9 +18,33 @@ import (
 // invariants (precolor, interference degree, incident affinity weights)
 // and are repeatedly re-signed with the multiset of their neighbors'
 // colors until the partition into color classes stabilizes. Vertices are
-// then ordered by their final class (classes are numbered by sorted
-// signature, which is label-independent) and the instance is serialized in
+// then ordered by their final class and the instance is serialized in
 // that order; the hash is the SHA-256 of the serialization.
+//
+// All signatures of a round live in one byte arena, and classes are
+// numbered by the byte order of their signatures, which is
+// label-independent. Decimal signatures rank as strings, not numbers:
+// class 10's "c10|" sorts before class 2's "c2|". The round that finds the
+// partition stable still re-ranks it, so the final numbering is that
+// round's byte order. Each vertex's neighbor classes come out ascending
+// from one pass over the vertices in class order (and its neighbors'
+// canonical positions, for the edge lines, from one pass in canonical
+// order), so neighbor lists need no per-vertex sort. The serialization is
+// written into one buffer and hashed with one sha256.Sum256. All scratch
+// comes from a sync.Pool; a warm call allocates only the returned
+// Canonical, Perm and Hash.
+//
+// The signature format — "p<precolor> d<degree>" plus " w<weight>" per
+// incident affinity in ascending weight order, then each round
+// "c<class>|" plus " <class>" per neighbor in ascending class order, "|",
+// and " <weight>:<class>" per incident affinity in byte order — and the
+// serialization ("regcoal-canon-v1", n, k, precolors, sorted edges, sorted
+// affinities) together are the regcoal-canon-v1 compatibility contract.
+// Hashes are cache keys and ring positions, and a delta session's
+// base_hash is one: a router and a worker of different builds must
+// compute the same hash for the same instance. Changing either is a
+// versioned regcoal-canon-v2 change that moves ring placement and
+// invalidates every stored base_hash.
 //
 // Soundness does not depend on refinement quality: equal hashes imply
 // equal canonical serializations, which fully determine the relabeled
@@ -51,124 +75,98 @@ func (c *Canonical) Inverse() []V {
 	return inv
 }
 
+// canonScratch is the working set of one CanonicalForm call, recycled
+// through canonPool.
+type canonScratch struct {
+	// Affinity adjacency in CSR form: vertex v's affinity half-edges are
+	// affW/affNb[affOff[v]:affOff[v+1]]. A self-affinity is one half-edge.
+	affOff []int
+	affW   []int64
+	affNb  []V
+
+	sig    []byte // this round's signatures, back to back
+	sigOff []int  // vertex v's signature is sig[sigOff[v]:sigOff[v+1]]
+	colors []int  // class of each vertex
+	order  []V    // vertices sorted by (signature, index)
+
+	// Neighbor keys (classes, then canonical positions) in CSR form:
+	// vertex v's are nbKey[nbOff[v]:nbOff[v+1]], ascending.
+	nbOff []int
+	nbKey []int
+	cur   []int // per-vertex fill cursors for both CSR arrays
+
+	ws    []int64  // one vertex's affinity weights
+	terms []byte   // one vertex's "<weight>:<class>" affinity terms
+	spans [][2]int // their bounds in terms
+
+	affs []Affinity
+	buf  []byte // the serialization
+}
+
+var canonPool = sync.Pool{New: func() any { return new(canonScratch) }}
+
 // CanonicalForm computes the canonical relabeling and hash of f. It does
-// not modify the graph. Cost is O(rounds · (V log V + E + A)) with at most
-// V refinement rounds (irregular graphs stabilize in a handful).
+// not modify the graph and is safe for concurrent use. Cost is
+// O(rounds · (V log V + E + A)) with at most V refinement rounds
+// (irregular graphs stabilize in a handful).
 func CanonicalForm(f *File) *Canonical {
+	s := canonPool.Get().(*canonScratch)
+	defer canonPool.Put(s)
 	g := f.G
 	n := g.N()
-
-	// Affinity adjacency (weights matter: they are part of the instance).
-	type affNb struct {
-		w  int64
-		nb V
-	}
-	affAdj := make([][]affNb, n)
-	for _, a := range g.Affinities() {
-		if a.X == a.Y {
-			affAdj[a.X] = append(affAdj[a.X], affNb{a.Weight, a.Y})
-			continue
-		}
-		affAdj[a.X] = append(affAdj[a.X], affNb{a.Weight, a.Y})
-		affAdj[a.Y] = append(affAdj[a.Y], affNb{a.Weight, a.X})
-	}
-
-	// Initial signatures from label-independent invariants. Signature
-	// strings are built with strconv appends into reused buffers — byte
-	// for byte the same strings the fmt-based builder produced, so class
-	// ranking (and therefore every canonical hash) is unchanged; only the
-	// per-vertex-per-round allocations are gone.
-	sigs := make([]string, n)
-	var b strings.Builder
-	var num []byte // strconv scratch: digits appended here, written to b
-	writeInt := func(x int64) {
-		num = strconv.AppendInt(num[:0], x, 10)
-		b.Write(num)
-	}
+	s.buildAffinities(g)
+	s.nbOff = ReuseSlice(s.nbOff, n+1)
 	for v := 0; v < n; v++ {
-		b.Reset()
-		pc := NoColor
-		if c, ok := g.Precolored(V(v)); ok {
-			pc = c
-		}
-		b.WriteByte('p')
-		writeInt(int64(pc))
-		b.WriteString(" d")
-		writeInt(int64(g.Degree(V(v))))
-		ws := make([]int64, 0, len(affAdj[v]))
-		for _, an := range affAdj[v] {
-			ws = append(ws, an.w)
-		}
-		sort.Slice(ws, func(i, j int) bool { return ws[i] < ws[j] })
-		for _, w := range ws {
-			b.WriteString(" w")
-			writeInt(w)
-		}
-		sigs[v] = b.String()
+		s.nbOff[v+1] = s.nbOff[v] + len(g.nbr[v])
 	}
-	colors := rankSignatures(sigs)
-	distinct := countDistinct(colors)
+	s.nbKey = ReuseSlice(s.nbKey, s.nbOff[n])
+	s.colors = ReuseSlice(s.colors, n)
+	s.order = ReuseSlice(s.order, n)
+	s.sigOff = ReuseSlice(s.sigOff, n+1)
 
-	var nbColors []int // reused neighbor-color buffer
-	var affSigs []string
-	for round := 0; round < n; round++ {
-		next := make([]string, n)
-		for v := 0; v < n; v++ {
-			nbColors = nbColors[:0]
-			g.ForEachNeighbor(V(v), func(w V) {
-				nbColors = append(nbColors, colors[w])
-			})
-			sort.Ints(nbColors)
-			affSigs = affSigs[:0]
-			for _, an := range affAdj[v] {
-				num = strconv.AppendInt(num[:0], an.w, 10)
-				num = append(num, ':')
-				num = strconv.AppendInt(num, int64(colors[an.nb]), 10)
-				affSigs = append(affSigs, string(num))
-			}
-			sort.Strings(affSigs)
-			b.Reset()
-			b.WriteByte('c')
-			writeInt(int64(colors[v]))
-			b.WriteByte('|')
-			for _, c := range nbColors {
-				b.WriteByte(' ')
-				writeInt(int64(c))
-			}
-			b.WriteString("|")
-			for _, s := range affSigs {
-				b.WriteString(" ")
-				b.WriteString(s)
-			}
-			next[v] = b.String()
+	// Initial signatures from label-independent invariants.
+	s.sig = s.sig[:0]
+	for v := 0; v < n; v++ {
+		s.sigOff[v] = len(s.sig)
+		s.sig = append(s.sig, 'p')
+		s.sig = strconv.AppendInt(s.sig, int64(g.precolored[v]), 10)
+		s.sig = append(s.sig, " d"...)
+		s.sig = strconv.AppendInt(s.sig, int64(len(g.nbr[v])), 10)
+		s.ws = append(s.ws[:0], s.affW[s.affOff[v]:s.affOff[v+1]]...)
+		slices.Sort(s.ws)
+		for _, w := range s.ws {
+			s.sig = append(s.sig, " w"...)
+			s.sig = strconv.AppendInt(s.sig, w, 10)
 		}
-		colors = rankSignatures(next)
-		d := countDistinct(colors)
+	}
+	s.sigOff[n] = len(s.sig)
+	distinct := s.rank()
+
+	for round := 0; round < n; round++ {
+		s.fillNeighborKeys(g, s.colors)
+		s.sig = s.sig[:0]
+		for v := 0; v < n; v++ {
+			s.sigOff[v] = len(s.sig)
+			s.appendRoundSig(V(v))
+		}
+		s.sigOff[n] = len(s.sig)
+		d := s.rank()
 		if d == distinct {
 			break // stable partition
 		}
 		distinct = d
 	}
 
-	// Order vertices by final class; ties (refinement could not separate)
-	// break by original index — deterministic, and sound per the package
-	// comment, at worst costing relabeling-invariance on symmetric graphs.
-	order := make([]V, n)
-	for i := range order {
-		order[i] = V(i)
-	}
-	sort.Slice(order, func(i, j int) bool {
-		if colors[order[i]] != colors[order[j]] {
-			return colors[order[i]] < colors[order[j]]
-		}
-		return order[i] < order[j]
-	})
+	// s.order is now sorted by final class, ties (refinement could not
+	// separate) broken by original index — deterministic, and sound per
+	// the package comment, at worst costing relabeling-invariance on
+	// symmetric graphs. It is the inverse of the canonical permutation.
 	perm := make([]V, n)
-	for pos, v := range order {
+	for pos, v := range s.order {
 		perm[v] = V(pos)
+		s.colors[v] = pos // hash's key for fillNeighborKeys
 	}
-
-	return &Canonical{Hash: hashCanonical(f, perm), Perm: perm}
+	return &Canonical{Hash: s.hash(f, perm), Perm: perm}
 }
 
 // CanonicalHash is CanonicalForm reduced to the hash.
@@ -176,86 +174,155 @@ func CanonicalHash(f *File) string {
 	return CanonicalForm(f).Hash
 }
 
-// hashCanonical serializes the instance under perm and hashes it. The
-// serialization is injective on (k, n, edge set, precoloring, affinity
-// multiset) — names are deliberately excluded.
-func hashCanonical(f *File, perm []V) string {
-	g := f.G
+// buildAffinities fills the CSR affinity adjacency of g.
+func (s *canonScratch) buildAffinities(g *Graph) {
 	n := g.N()
-	h := sha256.New()
-	fmt.Fprintf(h, "regcoal-canon-v1\nn %d\nk %d\n", n, f.K)
-	for pos, v := range invertPerm(perm) {
-		if c, ok := g.Precolored(v); ok {
-			fmt.Fprintf(h, "p %d %d\n", pos, c)
+	s.affOff = ReuseSlice(s.affOff, n+1)
+	for _, a := range g.affinities {
+		s.affOff[a.X+1]++
+		if a.X != a.Y {
+			s.affOff[a.Y+1]++
 		}
 	}
-	edges := make([][2]V, 0, g.E())
-	for _, e := range g.Edges() {
-		a, b := perm[e[0]], perm[e[1]]
-		if a > b {
-			a, b = b, a
+	for v := 0; v < n; v++ {
+		s.affOff[v+1] += s.affOff[v]
+	}
+	s.affW = ReuseSlice(s.affW, s.affOff[n])
+	s.affNb = ReuseSlice(s.affNb, s.affOff[n])
+	s.cur = append(s.cur[:0], s.affOff[:n]...)
+	put := func(v, nb V, w int64) {
+		s.affW[s.cur[v]], s.affNb[s.cur[v]] = w, nb
+		s.cur[v]++
+	}
+	for _, a := range g.affinities {
+		put(a.X, a.Y, a.Weight)
+		if a.X != a.Y {
+			put(a.Y, a.X, a.Weight)
 		}
-		edges = append(edges, [2]V{a, b})
 	}
-	sortPairs(edges)
-	for _, e := range edges {
-		fmt.Fprintf(h, "e %d %d\n", int(e[0]), int(e[1]))
-	}
-	affs := make([]Affinity, 0, g.NumAffinities())
-	for _, a := range g.Affinities() {
-		affs = append(affs, Affinity{X: perm[a.X], Y: perm[a.Y], Weight: a.Weight}.Canon())
-	}
-	SortAffinities(affs)
-	for _, a := range affs {
-		fmt.Fprintf(h, "a %d %d %d\n", int(a.X), int(a.Y), a.Weight)
-	}
-	return hex.EncodeToString(h.Sum(nil))
 }
 
-func invertPerm(perm []V) []V {
-	inv := make([]V, len(perm))
-	for v, p := range perm {
-		inv[p] = V(v)
+// fillNeighborKeys lists each vertex's neighbors' keys in ascending
+// order into nbKey. key must ascend along s.order: walking the vertices
+// in that order and appending each one's key to its neighbors' lists
+// leaves every list sorted, with no per-vertex sort.
+func (s *canonScratch) fillNeighborKeys(g *Graph, key []int) {
+	s.cur = append(s.cur[:0], s.nbOff[:g.N()]...)
+	for _, w := range s.order {
+		k := key[w]
+		for _, u := range g.nbr[w] {
+			s.nbKey[s.cur[u]] = k
+			s.cur[u]++
+		}
 	}
-	return inv
 }
 
-func sortPairs(ps [][2]V) {
-	sort.Slice(ps, func(i, j int) bool {
-		if ps[i][0] != ps[j][0] {
-			return ps[i][0] < ps[j][0]
-		}
-		return ps[i][1] < ps[j][1]
+// appendRoundSig appends v's refinement signature under the current
+// classes: its own class, its neighbors' classes in ascending numeric
+// order (from fillNeighborKeys), and its "<weight>:<class>" affinity
+// terms in byte order.
+func (s *canonScratch) appendRoundSig(v V) {
+	s.sig = append(s.sig, 'c')
+	s.sig = strconv.AppendInt(s.sig, int64(s.colors[v]), 10)
+	s.sig = append(s.sig, '|')
+	for _, c := range s.nbKey[s.nbOff[v]:s.nbOff[v+1]] {
+		s.sig = append(s.sig, ' ')
+		s.sig = strconv.AppendInt(s.sig, int64(c), 10)
+	}
+	s.sig = append(s.sig, '|')
+
+	s.terms, s.spans = s.terms[:0], s.spans[:0]
+	for i := s.affOff[v]; i < s.affOff[v+1]; i++ {
+		lo := len(s.terms)
+		s.terms = strconv.AppendInt(s.terms, s.affW[i], 10)
+		s.terms = append(s.terms, ':')
+		s.terms = strconv.AppendInt(s.terms, int64(s.colors[s.affNb[i]]), 10)
+		s.spans = append(s.spans, [2]int{lo, len(s.terms)})
+	}
+	slices.SortFunc(s.spans, func(a, b [2]int) int {
+		return bytes.Compare(s.terms[a[0]:a[1]], s.terms[b[0]:b[1]])
 	})
+	for _, sp := range s.spans {
+		s.sig = append(s.sig, ' ')
+		s.sig = append(s.sig, s.terms[sp[0]:sp[1]]...)
+	}
 }
 
-// rankSignatures maps signatures to dense class ids numbered by sorted
-// signature order, which is independent of vertex labeling.
-func rankSignatures(sigs []string) []int {
-	uniq := make([]string, 0, len(sigs))
-	seen := make(map[string]bool, len(sigs))
-	for _, s := range sigs {
-		if !seen[s] {
-			seen[s] = true
-			uniq = append(uniq, s)
+// sigOf returns v's signature in the arena.
+func (s *canonScratch) sigOf(v V) []byte { return s.sig[s.sigOff[v]:s.sigOff[v+1]] }
+
+// rank sorts s.order by (signature, index), numbers the distinct
+// signatures densely in byte order into s.colors, and returns how many
+// there are.
+func (s *canonScratch) rank() int {
+	for i := range s.order {
+		s.order[i] = V(i)
+	}
+	slices.SortFunc(s.order, func(a, b V) int {
+		if c := bytes.Compare(s.sigOf(a), s.sigOf(b)); c != 0 {
+			return c
+		}
+		return int(a - b)
+	})
+	d := 0
+	for i, v := range s.order {
+		if i == 0 || !bytes.Equal(s.sigOf(s.order[i-1]), s.sigOf(v)) {
+			d++
+		}
+		s.colors[v] = d - 1
+	}
+	return d
+}
+
+// hash serializes the instance under perm, with s.order its inverse and
+// s.colors each vertex's position, and returns the hex SHA-256. The serialization is injective on (k, n, edge
+// set, precoloring, affinity multiset) — names are deliberately excluded.
+func (s *canonScratch) hash(f *File, perm []V) string {
+	g := f.G
+	b := append(s.buf[:0], "regcoal-canon-v1\nn "...)
+	b = strconv.AppendInt(b, int64(g.N()), 10)
+	b = append(b, "\nk "...)
+	b = strconv.AppendInt(b, int64(f.K), 10)
+	b = append(b, '\n')
+	for pos, v := range s.order {
+		if c := g.precolored[v]; c != NoColor {
+			b = appendLine(b, 'p', int64(pos), int64(c))
 		}
 	}
-	sort.Strings(uniq)
-	rank := make(map[string]int, len(uniq))
-	for i, s := range uniq {
-		rank[s] = i
+
+	// Edges (x, y), x < y, in lexicographic order: each vertex's
+	// neighbor positions come out ascending.
+	s.fillNeighborKeys(g, s.colors)
+	for x, v := range s.order {
+		for _, y := range s.nbKey[s.nbOff[v]:s.nbOff[v+1]] {
+			if y > x {
+				b = appendLine(b, 'e', int64(x), int64(y))
+			}
+		}
 	}
-	out := make([]int, len(sigs))
-	for i, s := range sigs {
-		out[i] = rank[s]
+
+	s.affs = s.affs[:0]
+	for _, a := range g.affinities {
+		s.affs = append(s.affs, Affinity{X: perm[a.X], Y: perm[a.Y], Weight: a.Weight}.Canon())
 	}
-	return out
+	SortAffinities(s.affs)
+	for _, a := range s.affs {
+		b = appendLine(b, 'a', int64(a.X), int64(a.Y), a.Weight)
+	}
+	s.buf = b
+
+	sum := sha256.Sum256(b)
+	var hx [2 * sha256.Size]byte
+	hex.Encode(hx[:], sum[:])
+	return string(hx[:])
 }
 
-func countDistinct(xs []int) int {
-	seen := make(map[int]bool, len(xs))
+// appendLine appends the serialization line "<tag> <x>…\n".
+func appendLine(b []byte, tag byte, xs ...int64) []byte {
+	b = append(b, tag)
 	for _, x := range xs {
-		seen[x] = true
+		b = append(b, ' ')
+		b = strconv.AppendInt(b, x, 10)
 	}
-	return len(seen)
+	return append(b, '\n')
 }

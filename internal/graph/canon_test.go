@@ -2,6 +2,8 @@ package graph
 
 import (
 	"math/rand"
+	"slices"
+	"sync"
 	"testing"
 )
 
@@ -136,6 +138,60 @@ func TestCanonicalFormPermIsPermutation(t *testing.T) {
 			t.Fatal("perm not deterministic")
 		}
 	}
+}
+
+// TestCanonicalFormAllocs gates the warm call at the three allocations it
+// returns (the Canonical, its Perm and its Hash): every signature,
+// neighbor list and the serialization live in pooled scratch. Under -race
+// the call still runs but the count is skipped, as in the regalloc gate.
+func TestCanonicalFormAllocs(t *testing.T) {
+	f := randomInstance(rand.New(rand.NewSource(5)))
+	want := CanonicalForm(f) // warm the pool
+	allocs := testing.AllocsPerRun(50, func() {
+		if c := CanonicalForm(f); c.Hash != want.Hash {
+			t.Fatal("warm call changed the hash")
+		}
+	})
+	if RaceEnabled {
+		t.Skipf("race detector inflates alloc counts (measured %v); pooled path exercised, count skipped", allocs)
+	}
+	if allocs > 4 {
+		t.Fatalf("warm CanonicalForm allocates %v times per call, want <= 4", allocs)
+	}
+}
+
+// TestCanonicalFormConcurrent runs CanonicalForm from 8 goroutines over
+// graphs of mixed sizes, so pooled scratch moves between sizes and
+// goroutines, and checks every result against a sequential run. Under
+// -race it also shows no scratch is shared between two calls.
+func TestCanonicalFormConcurrent(t *testing.T) {
+	rng := rand.New(rand.NewSource(8))
+	var files []*File
+	for _, n := range []int{0, 1, 5, 24, 40, 90, 160} {
+		g := RandomER(rng, n, 0.2)
+		SprinkleAffinities(rng, g, n/2, 40)
+		files = append(files, &File{G: g, K: 4})
+	}
+	want := make([]*Canonical, len(files))
+	for i, f := range files {
+		want[i] = CanonicalForm(f)
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < 8; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for r := 0; r < 20; r++ {
+				i := (w + 3*r) % len(files)
+				c := CanonicalForm(files[i])
+				if c.Hash != want[i].Hash || !slices.Equal(c.Perm, want[i].Perm) {
+					t.Errorf("goroutine %d: graph %d (n=%d) differs from the sequential result", w, i, files[i].G.N())
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
 }
 
 // A solution computed in canonical space must map back to a valid solution

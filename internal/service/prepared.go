@@ -150,7 +150,8 @@ func (s *Server) prepare(kind Kind, req *Request, tr *obs.Trace) (*Prepared, err
 // from a concurrent identical request's race) and whether a hit was
 // filled from a peer: consult the cache, then the tier's peer fill,
 // collapse concurrent identical misses into one computation via the
-// singleflight group, or compute on the pool under the request deadline.
+// singleflight group, whose leader re-checks the cache first, or compute
+// on the pool under the request deadline.
 // Leader-only bookkeeping (admission, deadline-hit and strategy-win
 // counters, the cache insert) happens inside the flight so a collapse of
 // n requests costs one slot and records one race, not n. admit applies
@@ -183,22 +184,36 @@ func (s *Server) solve(p *Prepared, tr *obs.Trace, admit bool) (out any, disposi
 		noteEntry(tr, &e)
 		return s.render(p.kind, p.inst, p.canon, &e), "hit", filled, nil
 	}
-	// Misses count only consulted lookups: no_cache requests never touch
-	// the cache and must not skew the hit rate.
-	s.metrics.CacheMisses.Add(1)
 	v, ferr, shared := s.flights.Do(p.key, func() (any, error) {
+		// A request whose lookup and peer fill missed can get here after
+		// an identical request's flight has ended and cached the answer:
+		// re-check, so it answers from the cache instead of leading a
+		// second race.
+		if e, ok := s.cache.Get(p.key); ok {
+			return flight{e: &e, hit: true}, nil
+		}
 		e, cerr := s.computeOnPool(p, tr, admit)
 		if cerr != nil {
 			return nil, cerr
 		}
 		s.recordComputed(e, tr)
 		s.cache.Put(p.key, e)
-		return e, nil
+		return flight{e: e}, nil
 	})
+	if fl, _ := v.(flight); fl.hit {
+		// The flight read the cache, so it and every request collapsed
+		// onto it are hits: no race ran.
+		s.metrics.CacheHits.Add(1)
+		noteEntry(tr, fl.e)
+		return s.render(p.kind, p.inst, p.canon, fl.e), "hit", false, nil
+	}
+	// Misses count only consulted lookups: no_cache requests never touch
+	// the cache and must not skew the hit rate.
+	s.metrics.CacheMisses.Add(1)
 	if ferr != nil {
 		return nil, "", false, ferr
 	}
-	ce := v.(*entry)
+	ce := v.(flight).e
 	if shared {
 		s.metrics.SingleflightCollapses.Add(1)
 		// The entry is shared, but the rendering is this request's own:
@@ -213,6 +228,13 @@ func (s *Server) solve(p *Prepared, tr *obs.Trace, admit bool) (out any, disposi
 		s.tier.Computed(p, tr)
 	}
 	return s.render(p.kind, p.inst, p.canon, ce), "miss", false, nil
+}
+
+// flight is the result a singleflight leader shares: the answer, and
+// whether it came from the cache rather than a race.
+type flight struct {
+	e   *entry
+	hit bool
 }
 
 // noteEntry stamps an answer's provenance — winning strategy and whether

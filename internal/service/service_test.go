@@ -5,11 +5,16 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
+
+	"regcoal/internal/obs"
 )
 
 func newTestServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
@@ -101,6 +106,95 @@ func TestRepeatedRequestIsCachedByteIdentical(t *testing.T) {
 	}
 	if s.Metrics().CacheHits.Load() != hitsBefore+1 {
 		t.Fatal("cache hit counter did not increment")
+	}
+}
+
+// gatedTier is a Tier whose first Fill blocks until released, so that
+// request can miss the cache and then reach the singleflight after an
+// identical request's flight has ended.
+type gatedTier struct {
+	fills    atomic.Int32
+	entered  chan struct{}
+	release  chan struct{}
+	once     sync.Once
+	computed atomic.Int32
+}
+
+// open releases the blocked Fill; it is safe to call more than once.
+func (g *gatedTier) open() { g.once.Do(func() { close(g.release) }) }
+
+func (g *gatedTier) Fill(*Prepared, *obs.Trace) bool {
+	if g.fills.Add(1) == 1 {
+		close(g.entered)
+		<-g.release
+	}
+	return false
+}
+func (g *gatedTier) Admit(*Prepared) (func(), error)                      { return func() {}, nil }
+func (g *gatedTier) Computed(*Prepared, *obs.Trace)                       { g.computed.Add(1) }
+func (g *gatedTier) SessionMissing(string)                                {}
+func (g *gatedTier) SessionApplied(*DeltaRequest, []byte, *DeltaResponse) {}
+
+// A request whose lookup and fill miss, but whose singleflight starts
+// after an identical request's flight has cached the answer, answers
+// from the cache: a hit, with no second race, strategy win or Computed
+// push.
+func TestFlightAfterFinishedFlightAnswersFromCache(t *testing.T) {
+	s, err := New(Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tier := &gatedTier{entered: make(chan struct{}), release: make(chan struct{})}
+	s.SetTier(tier)
+	ts := httptest.NewServer(s.Handler())
+	t.Cleanup(func() {
+		tier.open() // a failed check must not leave a handler blocked
+		ts.Close()
+		s.Close()
+	})
+
+	type answer struct {
+		cache string
+		body  []byte
+	}
+	late := make(chan answer, 1)
+	go func() {
+		resp, err := http.Post(ts.URL+"/v1/coalesce", "application/json", strings.NewReader(pathInstance))
+		if err != nil {
+			t.Error(err)
+			late <- answer{}
+			return
+		}
+		defer resp.Body.Close()
+		body, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Error(err)
+		}
+		late <- answer{resp.Header.Get("X-Regcoal-Cache"), body}
+	}()
+	<-tier.entered // the late request missed the cache and is in Fill
+	resp, first := post(t, ts.URL+"/v1/coalesce", pathInstance)
+	tier.open()
+	if got := resp.Header.Get("X-Regcoal-Cache"); got != "miss" {
+		t.Fatalf("first request cache header %q, want miss", got)
+	}
+	a := <-late
+	if a.cache != "hit" {
+		t.Fatalf("late request cache header %q, want hit", a.cache)
+	}
+	if !bytes.Equal(a.body, first) {
+		t.Fatalf("late body differs:\n%s\n%s", a.body, first)
+	}
+	st := s.Registry().Snapshot()
+	wins := int64(0)
+	for _, n := range st.Labels("strategy_wins") {
+		wins += n
+	}
+	if wins != 1 || tier.computed.Load() != 1 {
+		t.Fatalf("%d races won and %d Computed calls for one instance, want 1 and 1", wins, tier.computed.Load())
+	}
+	if h, m := st.Int("cache_hits"), st.Int("cache_misses"); h != 1 || m != 1 {
+		t.Fatalf("cache hits %d, misses %d; want 1 and 1", h, m)
 	}
 }
 
