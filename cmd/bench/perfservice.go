@@ -231,7 +231,7 @@ func serviceKernels(quick bool) ([]PerfKernel, error) {
 				if err := json.Unmarshal(inst.solveBody, &req); err != nil {
 					panic(err)
 				}
-				if _, err := req.Graph.ToFile(); err != nil {
+				if _, err := req.Graph.ToFile(0); err != nil {
 					panic(err)
 				}
 			}},

@@ -306,7 +306,9 @@ func (r *Router) broadcastTopology(old, next *TopologyView) {
 }
 
 // handleProxy serves the three single-solve endpoints: hash, pick the
-// owner, forward verbatim.
+// owner, forward verbatim. The key is "" for anything that must go to the
+// fallback shard; the worker's strict decode of the verbatim body is what
+// produces error responses, so they stay byte-identical to single-node.
 func (r *Router) handleProxy(rw http.ResponseWriter, req *http.Request) {
 	if req.Method != http.MethodPost {
 		r.writeError(rw, http.StatusMethodNotAllowed, "POST required")
@@ -320,7 +322,7 @@ func (r *Router) handleProxy(rw http.ResponseWriter, req *http.Request) {
 		r.writeError(rw, http.StatusBadRequest, fmt.Sprintf("reading request: %v", err))
 		return
 	}
-	key := r.routingKey(body)
+	key := service.RouteKey(body, r.cfg.MaxVertices)
 	if key == "" {
 		r.fallback.Add(1)
 	}
@@ -335,19 +337,6 @@ func (r *Router) traceID(req *http.Request) string {
 		return id.String()
 	}
 	return r.ids.NewID().String()
-}
-
-// routingKey extracts the canonical routing hash from a request body, or
-// "" for anything that must go to the fallback shard. The decode here is
-// deliberately lenient (no unknown-field rejection): its only job is
-// routing — the worker's strict decode against the verbatim body is what
-// produces error responses, so they stay byte-identical to single-node.
-func (r *Router) routingKey(body []byte) string {
-	var req service.Request
-	if err := json.Unmarshal(body, &req); err != nil {
-		return ""
-	}
-	return service.RoutingHash(&req, r.cfg.MaxVertices)
 }
 
 // handleDelta serves the session endpoint: route by the session's base
@@ -369,7 +358,7 @@ func (r *Router) handleDelta(rw http.ResponseWriter, req *http.Request) {
 		r.writeError(rw, http.StatusBadRequest, fmt.Sprintf("reading request: %v", err))
 		return
 	}
-	key := r.deltaRoutingKey(body)
+	key := service.DeltaRouteKey(body, r.cfg.MaxVertices)
 	if key == "" {
 		r.fallback.Add(1)
 	}
@@ -380,24 +369,6 @@ func (r *Router) handleDelta(rw http.ResponseWriter, req *http.Request) {
 	// replicated log; a duplicate of an already-applied versioned batch
 	// is caught by the optimistic-concurrency guard (409).
 	r.forward(rw, req, key, body, traceID, false)
-}
-
-// deltaRoutingKey extracts the base-graph hash from a delta-session
-// request: base_hash verbatim when present, else (create) the canonical
-// hash of the carried graph — computed exactly like the worker computes
-// base_hash, so the create lands where the deltas will.
-func (r *Router) deltaRoutingKey(body []byte) string {
-	var req service.DeltaRequest
-	if err := json.Unmarshal(body, &req); err != nil {
-		return ""
-	}
-	if req.BaseHash != "" {
-		return req.BaseHash
-	}
-	if req.Graph == nil {
-		return ""
-	}
-	return service.RoutingHash(&service.Request{Graph: req.Graph, K: req.K}, r.cfg.MaxVertices)
 }
 
 // forward sends body to key's replica set under the retry budget and

@@ -36,6 +36,7 @@ package graph
 
 import (
 	"fmt"
+	"math/bits"
 	"slices"
 	"sort"
 	"strings"
@@ -107,6 +108,66 @@ func New(n int) *Graph {
 func NewNamed(names ...string) *Graph {
 	g := New(len(names))
 	copy(g.names, names)
+	return g
+}
+
+// FromEdges returns an n-vertex graph whose interference edges are the
+// pairs (edges[2i], edges[2i+1]) and whose affinities are a copy of
+// affinities, in order and endpoint-ordered as AddAffinity stores them.
+// Duplicate edges and both orientations of one edge are allowed and count
+// once. It is the bulk form of New plus one AddEdge and AddAffinity per
+// element, and builds the same graph: the bitset is set from the edge
+// list, then every vertex's sorted neighbor slice is read off its bitset
+// row into one shared backing array. Each slice is capped at its degree,
+// so a later AddEdge reallocates it instead of overwriting the next
+// vertex's neighbors. Endpoints out of range, self-loops and negative
+// weights panic, as in AddEdge and AddAffinity.
+func FromEdges(n int, edges []V, affinities []Affinity) *Graph {
+	if len(edges)%2 != 0 {
+		panic(fmt.Sprintf("graph: odd edge list length %d", len(edges)))
+	}
+	g := New(n)
+	for i := 0; i < len(edges); i += 2 {
+		u, v := edges[i], edges[i+1]
+		g.check(u)
+		g.check(v)
+		if u == v {
+			panic(fmt.Sprintf("graph: self-loop on vertex %d", int(u)))
+		}
+		iu := int(u)*g.stride + int(v)>>6
+		mu := uint64(1) << (uint(v) & 63)
+		if g.bits[iu]&mu == 0 {
+			g.bits[iu] |= mu
+			g.bits[int(v)*g.stride+int(u)>>6] |= 1 << (uint(u) & 63)
+			g.edges++
+		}
+	}
+	backing := make([]V, 2*g.edges)
+	off := 0
+	for u := 0; u < n; u++ {
+		start := off
+		for w, word := range g.row(V(u)) {
+			for word != 0 {
+				backing[off] = V(w<<6 | bits.TrailingZeros64(word))
+				off++
+				word &= word - 1
+			}
+		}
+		if off > start {
+			g.nbr[u] = backing[start:off:off]
+		}
+	}
+	if len(affinities) > 0 {
+		g.affinities = make([]Affinity, len(affinities))
+	}
+	for i, a := range affinities {
+		g.check(a.X)
+		g.check(a.Y)
+		if a.Weight < 0 {
+			panic(fmt.Sprintf("graph: negative affinity weight %d", a.Weight))
+		}
+		g.affinities[i] = a.Canon()
+	}
 	return g
 }
 

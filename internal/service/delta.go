@@ -21,7 +21,6 @@ package service
 // sessions) answer structured 4xx JSON — never a 5xx, never a panic.
 
 import (
-	"bytes"
 	"encoding/json"
 	"errors"
 	"io"
@@ -152,39 +151,26 @@ func (s *Server) handleDelta(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, err)
 	}
 
-	// The verbatim body is kept: a tier replicates it as the op log.
+	// The verbatim body is kept: a tier replicates it as the op log. A
+	// create's graph is built inside the one decode span.
 	tr.BeginPhase(obs.PhaseDecode)
 	var req DeltaRequest
+	var f *graph.File
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
-	if err == nil {
-		dec := json.NewDecoder(bytes.NewReader(body))
-		dec.DisallowUnknownFields()
-		err = dec.Decode(&req)
+	if err != nil {
+		err = badRequest("decoding delta request: %v", err)
+	} else {
+		req, f, err = decodeDelta(body, s.cfg.MaxVertices)
 	}
 	tr.EndPhase()
 	if err != nil {
-		fail(badRequest("decoding delta request: %v", err))
+		fail(err)
 		return
 	}
 
 	var resp *DeltaResponse
 	switch req.Op {
 	case "create":
-		if req.Graph == nil {
-			fail(badRequest("create requires a graph"))
-			return
-		}
-		tr.BeginPhase(obs.PhaseDecode)
-		f, err := req.Graph.ToFile()
-		tr.EndPhase()
-		if err != nil {
-			fail(badRequest("parsing graph: %v", err))
-			return
-		}
-		if f.G.N() > s.cfg.MaxVertices {
-			fail(badRequest("graph carries %d vertices, limit %d", f.G.N(), s.cfg.MaxVertices))
-			return
-		}
 		k := f.K
 		if req.K > 0 {
 			k = req.K

@@ -1,0 +1,7 @@
+package service
+
+// Internals shared with the external service_test package.
+var (
+	ScanSolve  = scanSolve
+	ScanCreate = scanCreate
+)

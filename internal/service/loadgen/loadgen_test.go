@@ -26,7 +26,7 @@ func TestBuildJobsEncodingsRoundTrip(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: %v", format, err)
 			}
-			decoded, err := spec.ToFile()
+			decoded, err := spec.ToFile(0)
 			if err != nil {
 				t.Fatalf("%s/%s: %v", format, job.Name, err)
 			}

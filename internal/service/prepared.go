@@ -86,22 +86,36 @@ func (p *Prepared) Density() float64 {
 
 // prepare parses and validates a single-graph request into a Prepared:
 // graph decode, register-count resolution, size cap, strategy validation,
-// freeze, and canonicalization. Every error is a 400. The canonicalization
-// phase is recorded onto tr (nil ok), closing any phase open on entry.
-func (s *Server) prepare(kind Kind, req *Request, tr *obs.Trace) (*Prepared, error) {
-	if req.Graph == nil {
-		return nil, badRequest("missing graph")
-	}
-	f, ferr := req.Graph.ToFile()
-	if ferr != nil {
-		return nil, badRequest("%v", ferr)
+// freeze, and canonicalization. f is the graph when the body's decode
+// already built it (nil: build it from req.Graph). Every error is a 400.
+// The canonicalization phase is recorded onto tr (nil ok), closing any
+// phase open on entry.
+func (s *Server) prepare(kind Kind, req *Request, f *graph.File, tr *obs.Trace) (*Prepared, error) {
+	if f == nil {
+		if req.Graph == nil {
+			return nil, badRequest("missing graph")
+		}
+		var ferr error
+		f, ferr = req.Graph.ToFile(s.cfg.MaxVertices)
+		if big := (*sizeError)(nil); errors.As(ferr, &big) {
+			// Refused before it was built. A missing register count
+			// still answers first, as it did when the cap was checked
+			// after the build.
+			if req.K <= 0 && req.Graph.K <= 0 {
+				return nil, badRequest(noRegisterCount)
+			}
+			return nil, badRequest("graph has %d vertices, limit %d", big.n, big.limit)
+		}
+		if ferr != nil {
+			return nil, badRequest("%v", ferr)
+		}
 	}
 	k := f.K
 	if req.K > 0 {
 		k = req.K
 	}
 	if k <= 0 {
-		return nil, badRequest("no register count: set k in the request or the graph payload")
+		return nil, badRequest(noRegisterCount)
 	}
 	if f.G.N() > s.cfg.MaxVertices {
 		return nil, badRequest("graph has %d vertices, limit %d", f.G.N(), s.cfg.MaxVertices)
@@ -357,6 +371,9 @@ func (s *Server) compute(p *Prepared, deadline time.Duration, tr *obs.Trace) (*e
 	return coalesceEntry(inst, canon.Perm, best, winner, hit), nil
 }
 
+// noRegisterCount answers a request whose k is set nowhere.
+const noRegisterCount = "no register count: set k in the request or the graph payload"
+
 // RoutingHash computes the canonical graph hash of a single-graph
 // request — the key a cluster router shards by. It returns "" when the
 // request cannot be parsed, carries no register count, or exceeds
@@ -367,13 +384,19 @@ func RoutingHash(req *Request, maxVertices int) string {
 	if req.Graph == nil {
 		return ""
 	}
-	f, err := req.Graph.ToFile()
+	f, err := req.Graph.ToFile(maxVertices)
 	if err != nil {
 		return ""
 	}
+	return routeHash(f, req.K, maxVertices)
+}
+
+// routeHash is RoutingHash for an already built graph and the request's
+// k override.
+func routeHash(f *graph.File, reqK, maxVertices int) string {
 	k := f.K
-	if req.K > 0 {
-		k = req.K
+	if reqK > 0 {
+		k = reqK
 	}
 	if k <= 0 {
 		return ""

@@ -21,20 +21,18 @@ import (
 // ReplaySession rebuilds session id from its replicated op log: create
 // is the original create request body, deltas the ordered delta request
 // bodies that were applied since (a full session.ExportRecord's Create
-// and Deltas pass straight in). The session registers under the same
-// id (409 inside if it is already live). baseHash, when empty, is
-// recomputed from the base graph exactly like handleDelta does.
+// and Deltas pass straight in). The create is decoded exactly as
+// handleDelta decodes it, under the same vertex cap. The session
+// registers under the same id (409 inside if it is already live).
+// baseHash, when empty, is recomputed from the base graph exactly like
+// handleDelta does.
 func (s *Server) ReplaySession(id, baseHash string, create []byte, deltas []json.RawMessage) error {
-	var req DeltaRequest
-	if err := json.Unmarshal(create, &req); err != nil {
-		return fmt.Errorf("replay %s: decoding create: %w", id, err)
-	}
-	if req.Graph == nil {
-		return fmt.Errorf("replay %s: create log entry carries no graph", id)
-	}
-	f, err := req.Graph.ToFile()
+	req, f, err := decodeDelta(create, s.cfg.MaxVertices)
 	if err != nil {
-		return fmt.Errorf("replay %s: parsing graph: %w", id, err)
+		return fmt.Errorf("replay %s: create: %w", id, err)
+	}
+	if f == nil {
+		return fmt.Errorf("replay %s: create log entry carries no graph", id)
 	}
 	k := f.K
 	if req.K > 0 {

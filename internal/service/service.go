@@ -35,6 +35,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"runtime"
 	"sync/atomic"
@@ -398,15 +399,17 @@ func (s *Server) handleSolve(kind Kind) http.HandlerFunc {
 		}
 
 		tr.BeginPhase(obs.PhaseDecode)
-		var req Request
-		body := http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
-		dec := json.NewDecoder(body)
-		dec.DisallowUnknownFields()
-		if err := dec.Decode(&req); err != nil {
+		body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
+		if err != nil {
 			fail(badRequest("decoding request: %v", err))
 			return
 		}
-		p, err := s.prepare(kind, &req, tr)
+		req, f, err := decodeSolve(body, s.cfg.MaxVertices)
+		if err != nil {
+			fail(err)
+			return
+		}
+		p, err := s.prepare(kind, &req, f, tr)
 		if err != nil {
 			fail(err)
 			return
@@ -519,7 +522,7 @@ func (s *Server) runBatch(kind Kind, items []Request) *BatchResponse {
 // by the pool queue, whose saturation surfaces per entry). A malformed
 // element counts as a bad request.
 func (s *Server) solveBatchItem(kind Kind, sub *Request) BatchEntry {
-	p, err := s.prepare(kind, sub, nil)
+	p, err := s.prepare(kind, sub, nil, nil)
 	if err != nil {
 		s.metrics.BadRequests.Add(1)
 		return BatchEntry{Error: err.Error()}

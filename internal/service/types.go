@@ -42,8 +42,10 @@ type GraphSpec struct {
 	Dimacs string `json:"dimacs,omitempty"`
 }
 
-// ToFile decodes the spec into an instance.
-func (s *GraphSpec) ToFile() (*graph.File, error) {
+// ToFile decodes the spec into an instance. maxVertices > 0 caps the
+// vertex count a native spec may declare: an over-cap spec is refused with
+// a *sizeError before its graph is built.
+func (s *GraphSpec) ToFile(maxVertices int) (*graph.File, error) {
 	encodings := 0
 	if s.Text != "" {
 		encodings++
@@ -67,21 +69,51 @@ func (s *GraphSpec) ToFile() (*graph.File, error) {
 	case s.Dimacs != "":
 		return graph.ReadDIMACSFile(strings.NewReader(s.Dimacs))
 	default:
-		return s.toNativeFile()
+		return s.toNativeFile(maxVertices)
 	}
 }
 
-func (s *GraphSpec) toNativeFile() (*graph.File, error) {
-	n := s.Vertices
-	if len(s.Names) > n {
-		n = len(s.Names)
+// sizeError refuses a graph over the server's vertex cap.
+type sizeError struct{ n, limit int }
+
+func (e *sizeError) Error() string {
+	return fmt.Sprintf("graph carries %d vertices, limit %d", e.n, e.limit)
+}
+
+func (s *GraphSpec) toNativeFile(maxVertices int) (*graph.File, error) {
+	edges := make([]graph.V, 0, 2*len(s.Edges))
+	for _, e := range s.Edges {
+		edges = append(edges, graph.V(e[0]), graph.V(e[1]))
 	}
-	if n == 0 {
-		return nil, fmt.Errorf("graph: empty native graph (set vertices or names)")
+	moves := make([]graph.Affinity, len(s.Moves))
+	for i, m := range s.Moves {
+		moves[i] = graph.Affinity{X: graph.V(m.X), Y: graph.V(m.Y), Weight: m.Weight}
 	}
-	g := graph.New(n)
+	pins := make([]int, 0, 2*len(s.Precolored))
+	for _, p := range s.Precolored {
+		pins = append(pins, p.V, p.Color)
+	}
+	g, err := nativeGraph(max(s.Vertices, len(s.Names)), edges, moves, pins, maxVertices)
+	if err != nil {
+		return nil, err
+	}
 	for i, name := range s.Names {
 		g.SetName(graph.V(i), name)
+	}
+	return &graph.File{G: g, K: s.K}, nil
+}
+
+// nativeGraph builds a native graph from its parts: edges as endpoint
+// pairs, moves as affinities whose zero weight means one move, pins as
+// (vertex, color) pairs, each in body order. Every edge, then every
+// move, then every pin is checked against the n declared vertices, then
+// n against the cap, and only then is the graph built — so the first
+// error in body order is the one reported, and a body declaring a
+// billion vertices allocates nothing for them. Both decoders build
+// through it.
+func nativeGraph(n int, edges []graph.V, moves []graph.Affinity, pins []int, maxVertices int) (*graph.Graph, error) {
+	if n <= 0 {
+		return nil, fmt.Errorf("graph: empty native graph (set vertices or names)")
 	}
 	inRange := func(v int) error {
 		if v < 0 || v >= n {
@@ -89,44 +121,50 @@ func (s *GraphSpec) toNativeFile() (*graph.File, error) {
 		}
 		return nil
 	}
-	for _, e := range s.Edges {
-		if err := inRange(e[0]); err != nil {
+	for i := 0; i < len(edges); i += 2 {
+		u, v := int(edges[i]), int(edges[i+1])
+		if err := inRange(u); err != nil {
 			return nil, err
 		}
-		if err := inRange(e[1]); err != nil {
+		if err := inRange(v); err != nil {
 			return nil, err
 		}
-		if e[0] == e[1] {
-			return nil, fmt.Errorf("graph: self-loop on vertex %d", e[0])
+		if u == v {
+			return nil, fmt.Errorf("graph: self-loop on vertex %d", u)
 		}
-		g.AddEdge(graph.V(e[0]), graph.V(e[1]))
 	}
-	for _, m := range s.Moves {
-		if err := inRange(m.X); err != nil {
+	for _, m := range moves {
+		if err := inRange(int(m.X)); err != nil {
 			return nil, err
 		}
-		if err := inRange(m.Y); err != nil {
+		if err := inRange(int(m.Y)); err != nil {
 			return nil, err
 		}
-		w := m.Weight
-		if w == 0 {
-			w = 1
+		if m.Weight < 0 {
+			return nil, fmt.Errorf("graph: negative move weight %d", m.Weight)
 		}
-		if w < 0 {
-			return nil, fmt.Errorf("graph: negative move weight %d", w)
-		}
-		g.AddAffinity(graph.V(m.X), graph.V(m.Y), w)
 	}
-	for _, p := range s.Precolored {
-		if err := inRange(p.V); err != nil {
+	for i := 0; i < len(pins); i += 2 {
+		if err := inRange(pins[i]); err != nil {
 			return nil, err
 		}
-		if p.Color < 0 {
-			return nil, fmt.Errorf("graph: negative precolor %d", p.Color)
+		if pins[i+1] < 0 {
+			return nil, fmt.Errorf("graph: negative precolor %d", pins[i+1])
 		}
-		g.SetPrecolored(graph.V(p.V), p.Color)
 	}
-	return &graph.File{G: g, K: s.K}, nil
+	if maxVertices > 0 && n > maxVertices {
+		return nil, &sizeError{n: n, limit: maxVertices}
+	}
+	for i := range moves {
+		if moves[i].Weight == 0 {
+			moves[i].Weight = 1
+		}
+	}
+	g := graph.FromEdges(n, edges, moves)
+	for i := 0; i < len(pins); i += 2 {
+		g.SetPrecolored(graph.V(pins[i]), pins[i+1])
+	}
+	return g, nil
 }
 
 // Request is the body of POST /v1/coalesce, /v1/allocate and /v1/spill,
