@@ -62,9 +62,9 @@ func run(inPath, strategy string, kFlag int, compare, color, dimacs, jsonOut boo
 	var file *graph.File
 	var err error
 	if dimacs {
-		file, err = graph.ReadDIMACSFile(in)
+		file, err = graph.ReadDIMACSFile(in, 0)
 	} else {
-		file, err = graph.ReadFrom(in)
+		file, err = graph.ReadFrom(in, 0)
 	}
 	if err != nil {
 		return err

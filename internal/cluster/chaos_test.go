@@ -17,6 +17,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -27,6 +28,7 @@ import (
 	"regcoal/internal/faultinject"
 	"regcoal/internal/obs"
 	"regcoal/internal/service"
+	"regcoal/internal/session"
 )
 
 // The acceptance criterion for the chaos harness: a 3-worker R=2 cluster
@@ -88,6 +90,8 @@ func TestChaosDifferentialByteIdentityUnderFaults(t *testing.T) {
 		}
 	}
 
+	requireFormsForwarded(t, c)
+
 	// The run must actually have exercised the machinery under test: the
 	// plan fired (drops from the blackhole, injected errors from w2) and
 	// the router retried around the damage.
@@ -133,6 +137,16 @@ type fakeWorker struct {
 	readyz     atomic.Int64 // readiness probes received
 	solves     atomic.Int64
 	readyDelay time.Duration
+
+	formsMu sync.Mutex
+	forms   []string // the CanonHeader of every solve request, in arrival order
+}
+
+// sentForms returns the CanonHeader values the worker has received.
+func (f *fakeWorker) sentForms() []string {
+	f.formsMu.Lock()
+	defer f.formsMu.Unlock()
+	return slices.Clone(f.forms)
 }
 
 func newFakeWorker(t *testing.T, name string) *fakeWorker {
@@ -150,6 +164,9 @@ func newFakeWorker(t *testing.T, name string) *fakeWorker {
 			return
 		}
 		f.solves.Add(1)
+		f.formsMu.Lock()
+		f.forms = append(f.forms, r.Header.Get(service.CanonHeader))
+		f.formsMu.Unlock()
 		if d := f.delay.Load(); d > 0 {
 			time.Sleep(time.Duration(d))
 		}
@@ -212,6 +229,79 @@ func TestHedgedRequestFailsOverSlowPrimary(t *testing.T) {
 	}
 	if owner.solves.Load() == 0 {
 		t.Fatal("owner never attempted: hedge should duplicate, not replace, the first attempt")
+	}
+}
+
+// Every attempt at a native solve or create body carries the router's
+// canonical form: the first try, the retry after a 500, and the hedge
+// raced against a slow owner. Batch sub-requests and delta bodies carry
+// none.
+func TestRouterForwardsFormOnEveryAttempt(t *testing.T) {
+	a := newFakeWorker(t, "a")
+	b := newFakeWorker(t, "b")
+	byURL := map[string]*fakeWorker{a.srv.URL: a, b.srv.URL: b}
+	router, err := cluster.NewRouter(cluster.RouterConfig{
+		Workers:    []string{a.srv.URL, b.srv.URL},
+		HedgeAfter: 25 * time.Millisecond,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	front := httptest.NewServer(router)
+	t.Cleanup(front.Close)
+	all := func() []string { return append(a.sentForms(), b.sentForms()...) }
+
+	body := requestBody(t, quickInstances(t)[0].File)
+	key, form := service.RouteKey(body, 0)
+	if form == "" {
+		t.Fatal("no form for a native body")
+	}
+	seq := router.Ring().Sequence(key)
+	owner := byURL[seq[0]]
+
+	owner.fail.Store(1) // the first try answers 500; the retry goes on
+	if status, _, got := post(t, front.URL+"/v1/coalesce", body); status != http.StatusOK {
+		t.Fatalf("retried request: status %d: %s", status, got)
+	}
+	owner.delay.Store(int64(400 * time.Millisecond)) // the hedge wins
+	if status, _, got := post(t, front.URL+"/v1/allocate", body); status != http.StatusOK {
+		t.Fatalf("hedged request: status %d: %s", status, got)
+	}
+	owner.delay.Store(0)
+	if st := router.Stats(); st.Int("router_retries") == 0 || st.Int("router_hedges") == 0 {
+		t.Fatalf("want a retry and a hedge, stats %v", st)
+	}
+	// The slow owner's attempt may still be on its way when the hedge
+	// has answered: wait for all four attempts to arrive.
+	for deadline := time.Now().Add(5 * time.Second); len(all()) < 4 && time.Now().Before(deadline); {
+		time.Sleep(5 * time.Millisecond)
+	}
+	if len(all()) != 4 {
+		t.Fatalf("workers saw %d attempts, want 4 (try, retry, hedged pair)", len(all()))
+	}
+	for _, got := range all() {
+		if got != form {
+			t.Fatalf("an attempt carried form %q, want the router's %q (all: %q)", got, form, all())
+		}
+	}
+
+	na, nb := len(a.sentForms()), len(b.sentForms())
+	var req service.Request
+	if err := json.Unmarshal(body, &req); err != nil {
+		t.Fatal(err)
+	}
+	batch, _ := json.Marshal(service.BatchSolveRequest{Items: []service.Request{req}})
+	delta, _ := json.Marshal(service.DeltaRequest{SessionID: "s-1", BaseHash: key, Deltas: []session.Delta{{Op: session.OpAddVertex}}})
+	post(t, front.URL+"/v1/batch", batch)
+	post(t, front.URL+"/v1/coalesce/delta", delta)
+	later := append(a.sentForms()[na:], b.sentForms()[nb:]...)
+	for _, got := range later {
+		if got != "" {
+			t.Fatalf("a batch or delta body carried form %q", got)
+		}
+	}
+	if len(later) != 2 {
+		t.Fatalf("the batch and the delta made %d attempts, want 2", len(later))
 	}
 }
 

@@ -120,6 +120,23 @@ func relabeledFileT(f *graph.File, perm []int) *graph.File {
 
 var allEndpoints = []string{"/v1/coalesce", "/v1/allocate", "/v1/spill"}
 
+// requireFormsForwarded asserts that, summed over the workers, some
+// canonical forms the router forwarded were verified and used and none
+// was refused: a worker that ignored the header, or a router whose forms
+// its workers could not verify, fails it.
+func requireFormsForwarded(t *testing.T, c *cluster.InProcess) {
+	t.Helper()
+	var forwarded, rejected int64
+	for _, w := range c.Workers {
+		st := w.Service.Registry().Snapshot()
+		forwarded += st.Int("canon_forwarded")
+		rejected += st.Int("canon_forward_rejected")
+	}
+	if forwarded == 0 || rejected != 0 {
+		t.Fatalf("workers used %d forwarded canonical forms and refused %d; want > 0 and 0", forwarded, rejected)
+	}
+}
+
 // The acceptance criterion: every corpus family through a 3-worker
 // cluster — single solves on all three endpoints, relabeled duplicates
 // served through the tiered cache, and /v1/batch — answers byte-identical
@@ -164,6 +181,8 @@ func TestClusterDifferentialByteIdentity(t *testing.T) {
 			}
 		}
 	}
+
+	requireFormsForwarded(t, c)
 
 	// Peer cache fill: the same instances posted directly to a worker
 	// outside their hash's replica set (replicas already hold the entry

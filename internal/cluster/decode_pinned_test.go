@@ -8,6 +8,7 @@ package cluster_test
 // encoding/json does something a naive scanner would not.
 
 import (
+	"bytes"
 	"net/http"
 	"regexp"
 	"testing"
@@ -155,5 +156,30 @@ func TestOversizeGraphThroughRouter(t *testing.T) {
 	status, _, got := post(t, c.RouterURL+"/v1/batch", []byte(`{"items":[{"graph":{"vertices":1000000000,"k":2}}]}`))
 	if want := `{"results":[{"error":"graph has 1000000000 vertices, limit 200000"}]}`; status != http.StatusOK || string(got) != want {
 		t.Errorf("batch: (%d) %s, want (200) %s", status, got, want)
+	}
+}
+
+// A graph whose canonical form would exceed the header bound (13 000
+// vertices: a ~67 KB perm) is forwarded without the form, so no worker
+// answers 431, and the answer is byte-identical to a single node's.
+func TestLargeGraphForwardedWithoutForm(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds a 13 000-vertex graph three times")
+	}
+	_, single := startSingle(t, service.Config{})
+	c := startCluster(t, 2, cluster.InProcessOptions{})
+	body := []byte(`{"graph":{"vertices":13000,"edges":[[0,1],[1,2]],"moves":[{"x":0,"y":2,"weight":3}],"k":2},"strategies":["aggressive"]}`)
+	if key, form := service.RouteKey(body, 0); key == "" || form != "" {
+		t.Fatalf("routing key %q, a %d-byte form; want a key and no form", key, len(form))
+	}
+	wantStatus, _, want := post(t, single.URL+"/v1/coalesce", body)
+	gotStatus, _, got := post(t, c.RouterURL+"/v1/coalesce", body)
+	if wantStatus != http.StatusOK || gotStatus != wantStatus || !bytes.Equal(got, want) {
+		t.Fatalf("router (%d) %.200s, single node (%d) %.200s", gotStatus, got, wantStatus, want)
+	}
+	for _, w := range c.Workers {
+		if st := w.Service.Registry().Snapshot(); st.Int("canon_forwarded")+st.Int("canon_forward_rejected") != 0 {
+			t.Fatalf("worker %s saw a form for a graph over the bound", w.URL)
+		}
 	}
 }

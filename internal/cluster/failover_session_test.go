@@ -98,6 +98,7 @@ func TestSessionFailoverRebuildsFromReplicatedLog(t *testing.T) {
 			if err := json.Unmarshal(resp, &created); err != nil {
 				t.Fatal(err)
 			}
+			requireFormsForwarded(t, c)
 			primary := hdr.Get("X-Regcoal-Shard")
 			primaryIdx := -1
 			var secondaryW *cluster.InProcessWorker

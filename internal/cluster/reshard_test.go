@@ -406,6 +406,7 @@ func TestReshardChurnDifferentialByteIdentical(t *testing.T) {
 	if hits == 0 {
 		t.Fatal("no cache hits after reshard; handoff left every owner cold")
 	}
+	requireFormsForwarded(t, c)
 }
 
 // Kill a worker in the middle of its handoff window, with a fixed-seed

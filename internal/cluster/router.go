@@ -29,7 +29,10 @@ import (
 // Router is the cluster's front door. It owns no solver: it decodes just
 // enough of each request to compute the canonical routing hash, forwards
 // the original body verbatim to the owning worker, and copies the
-// worker's response verbatim back. Requests that cannot be canonicalized
+// worker's response verbatim back. A native solve or create body also
+// carries the canonical form the router computed, on the
+// service.CanonHeader request header, so the worker verifies it instead
+// of canonicalizing again. Requests that cannot be canonicalized
 // (parse errors, missing register counts, oversize graphs) go to the
 // deterministic fallback shard — ring owner of the empty key — whose
 // worker reproduces the exact single-node error body.
@@ -322,11 +325,11 @@ func (r *Router) handleProxy(rw http.ResponseWriter, req *http.Request) {
 		r.writeError(rw, http.StatusBadRequest, fmt.Sprintf("reading request: %v", err))
 		return
 	}
-	key := service.RouteKey(body, r.cfg.MaxVertices)
+	key, form := service.RouteKey(body, r.cfg.MaxVertices)
 	if key == "" {
 		r.fallback.Add(1)
 	}
-	r.forward(rw, req, key, body, traceID, true)
+	r.forward(rw, req, key, form, body, traceID, true)
 }
 
 // traceID adopts the client's X-Regcoal-Trace-Id when valid, otherwise
@@ -358,7 +361,7 @@ func (r *Router) handleDelta(rw http.ResponseWriter, req *http.Request) {
 		r.writeError(rw, http.StatusBadRequest, fmt.Sprintf("reading request: %v", err))
 		return
 	}
-	key := service.DeltaRouteKey(body, r.cfg.MaxVertices)
+	key, form := service.DeltaRouteKey(body, r.cfg.MaxVertices)
 	if key == "" {
 		r.fallback.Add(1)
 	}
@@ -368,22 +371,23 @@ func (r *Router) handleDelta(rw http.ResponseWriter, req *http.Request) {
 	// primary never answered, and the next replica rebuilds from the
 	// replicated log; a duplicate of an already-applied versioned batch
 	// is caught by the optimistic-concurrency guard (409).
-	r.forward(rw, req, key, body, traceID, false)
+	r.forward(rw, req, key, form, body, traceID, false)
 }
 
 // forward sends body to key's replica set under the retry budget and
 // copies the winning response verbatim, tagging the shard that answered
 // in X-Regcoal-Shard. The client request's path, query (so ?trace=1
-// reaches the worker), and trace opt-in headers ride along. hedge
+// reaches the worker), and trace opt-in headers ride along, and so does
+// form, the key's CanonHeader value ("" sends none). hedge
 // enables the hedged second attempt — callers disable it for
 // non-idempotent bodies (session deltas), where a raced duplicate could
 // apply twice.
-func (r *Router) forward(rw http.ResponseWriter, req *http.Request, key string, body []byte, traceID string, hedge bool) {
+func (r *Router) forward(rw http.ResponseWriter, req *http.Request, key, form string, body []byte, traceID string, hedge bool) {
 	path := req.URL.Path
 	if q := req.URL.RawQuery; q != "" {
 		path += "?" + q
 	}
-	status, hdr, respBody, node, err := r.forwardTo(path, key, body, traceID, req, hedge)
+	status, hdr, respBody, node, err := r.forwardTo(path, key, form, body, traceID, req, hedge)
 	if err != nil {
 		r.noWorker.Add(1)
 		r.writeError(rw, http.StatusBadGateway, err.Error())
@@ -413,7 +417,7 @@ type attemptResult struct {
 // attempt performs one forward to node and reports the outcome. A
 // transport error marks the node unready so concurrent and subsequent
 // requests skip it for a ReadyTTL window.
-func (r *Router) attempt(node, path string, body []byte, traceID string, clientReq *http.Request, failedOver bool) attemptResult {
+func (r *Router) attempt(node, path, form string, body []byte, traceID string, clientReq *http.Request, failedOver bool) attemptResult {
 	res := attemptResult{node: node, failedOver: failedOver}
 	freq, err := http.NewRequest(http.MethodPost, node+path, bytes.NewReader(body))
 	if err != nil {
@@ -423,6 +427,9 @@ func (r *Router) attempt(node, path string, body []byte, traceID string, clientR
 	freq.Header.Set("Content-Type", "application/json")
 	if traceID != "" {
 		freq.Header.Set(service.TraceIDHeader, traceID)
+	}
+	if form != "" {
+		freq.Header.Set(service.CanonHeader, form)
 	}
 	if clientReq != nil {
 		for _, h := range []string{service.TraceHeader, service.FamilyHeader} {
@@ -460,10 +467,11 @@ func (r *Router) attempt(node, path string, body []byte, traceID string, clientR
 // non-5xx answer wins. Unready nodes are skipped. Only when every
 // candidate has failed does the client see a 5xx: the last 5xx body
 // verbatim, or a 502 when no node could even be reached. The answering
-// shard's counters and latency histogram record the attempt; traceID
-// and the client's trace opt-in headers propagate to the worker.
-// clientReq may be nil (batch sub-requests carry no per-item opt-ins).
-func (r *Router) forwardTo(path, key string, body []byte, traceID string, clientReq *http.Request, hedge bool) (status int, hdr http.Header, respBody []byte, node string, err error) {
+// shard's counters and latency histogram record the attempt; traceID,
+// the client's trace opt-in headers and form (the CanonHeader value, on
+// every attempt) propagate to the worker. clientReq may be nil (batch
+// sub-requests carry no per-item opt-ins, and no forms).
+func (r *Router) forwardTo(path, key, form string, body []byte, traceID string, clientReq *http.Request, hedge bool) (status int, hdr http.Header, respBody []byte, node string, err error) {
 	seq := r.topo.View().Ring.Sequence(key)
 	results := make(chan attemptResult, len(seq)+1)
 	next, launched, inFlight := 0, 0, 0
@@ -481,7 +489,7 @@ func (r *Router) forwardTo(path, key string, body []byte, traceID string, client
 			launched++
 			inFlight++
 			go func() {
-				results <- r.attempt(candidate, path, body, traceID, clientReq, failedOver)
+				results <- r.attempt(candidate, path, form, body, traceID, clientReq, failedOver)
 			}()
 			return true
 		}
@@ -673,15 +681,15 @@ func (r *Router) handleBatch(rw http.ResponseWriter, req *http.Request) {
 	dec := json.NewDecoder(bytes.NewReader(body))
 	dec.DisallowUnknownFields()
 	if derr := dec.Decode(&breq); derr != nil {
-		r.forward(rw, req, "", body, traceID, true)
+		r.forward(rw, req, "", "", body, traceID, true)
 		return
 	}
 	if _, kerr := service.ParseKind(breq.Kind); kerr != nil {
-		r.forward(rw, req, "", body, traceID, true)
+		r.forward(rw, req, "", "", body, traceID, true)
 		return
 	}
 	if len(breq.Items) == 0 || len(breq.Items) > r.cfg.MaxBatch {
-		r.forward(rw, req, "", body, traceID, true)
+		r.forward(rw, req, "", "", body, traceID, true)
 		return
 	}
 	r.batchItems.Add(int64(len(breq.Items)))
@@ -727,7 +735,7 @@ func (r *Router) handleBatch(rw http.ResponseWriter, req *http.Request) {
 				r.fillErrors(results, g.indices, fmt.Sprintf("encoding shard batch: %v", merr))
 				return
 			}
-			status, _, respBody, _, ferr := r.forwardTo(req.URL.Path, g.key, subBody, traceID, req, true)
+			status, _, respBody, _, ferr := r.forwardTo(req.URL.Path, g.key, "", subBody, traceID, req, true)
 			if ferr != nil {
 				r.noWorker.Add(1)
 				r.fillErrors(results, g.indices, fmt.Sprintf("shard unavailable: %v", ferr))

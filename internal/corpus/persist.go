@@ -152,7 +152,7 @@ func LoadFamilyDir(root, family string) ([]*Instance, *Manifest, error) {
 		if got := hex.EncodeToString(sum[:]); got != meta.SHA256 {
 			return nil, nil, fmt.Errorf("corpus: %s/%s: checksum mismatch (corpus regenerated with a different generator version?)", family, meta.Name)
 		}
-		f, err := graph.ReadFrom(bytes.NewReader(native))
+		f, err := graph.ReadFrom(bytes.NewReader(native), 0)
 		if err != nil {
 			return nil, nil, fmt.Errorf("corpus: %s/%s: %w", family, meta.Name, err)
 		}
@@ -160,7 +160,7 @@ func LoadFamilyDir(root, family string) ([]*Instance, *Manifest, error) {
 		if err != nil {
 			return nil, nil, err
 		}
-		df, err := graph.ReadDIMACSFile(bytes.NewReader(col))
+		df, err := graph.ReadDIMACSFile(bytes.NewReader(col), 0)
 		if err != nil {
 			return nil, nil, fmt.Errorf("corpus: %s/%s.col: %w", family, meta.Name, err)
 		}

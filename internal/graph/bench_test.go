@@ -78,7 +78,9 @@ var canonSink *Canonical
 // BenchmarkCanonicalForm prices the cache key every solve request pays,
 // hit or miss: "hot" is sized like servebench's hot mix (~40 vertices,
 // ~190 edges, ~30 moves), "dense300" like cmd/bench -perf's
-// canon/dense300-p50.
+// canon/dense300-p50. The -verify variants price what a cluster worker
+// pays instead for the form its router forwarded: VerifyCanonical of the
+// same graph's form.
 func BenchmarkCanonicalForm(b *testing.B) {
 	for _, c := range []struct {
 		name   string
@@ -90,16 +92,24 @@ func BenchmarkCanonicalForm(b *testing.B) {
 		{"hot", 40, 0.245, 30, 50},
 		{"dense300", 300, 0.50, 150, 8},
 	} {
+		rng := rand.New(rand.NewSource(42))
+		g := RandomER(rng, c.n, c.p)
+		SprinkleAffinities(rng, g, c.moves, c.weight)
+		g.SetPrecolored(0, 0)
+		f := &File{G: g, K: 8}
 		b.Run(c.name, func(b *testing.B) {
-			rng := rand.New(rand.NewSource(42))
-			g := RandomER(rng, c.n, c.p)
-			SprinkleAffinities(rng, g, c.moves, c.weight)
-			g.SetPrecolored(0, 0)
-			f := &File{G: g, K: 8}
 			b.ReportAllocs()
-			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				canonSink = CanonicalForm(f)
+			}
+		})
+		form := CanonicalForm(f)
+		b.Run(c.name+"-verify", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if canonSink = VerifyCanonical(f, form.Hash, form.Perm); canonSink == nil {
+					b.Fatal("the computed form does not verify")
+				}
 			}
 		})
 	}

@@ -57,6 +57,29 @@ import (
 // interference graphs) the hash is fully relabeling-invariant; highly
 // symmetric graphs may hash differently under relabeling, costing a cache
 // miss but never a wrong answer. Vertex names never enter the hash.
+//
+// VerifyCanonical checks a form computed elsewhere instead of computing
+// one: the cluster router forwards the form it routed a request by, and
+// the worker verifies it (perm is a permutation, and the serialization
+// under perm hashes to hash), skipping the refinement rounds.
+//
+//   - A form that verifies is sound whoever sent it: by the argument
+//     above, equal hashes imply equal serializations, so the hash names
+//     exactly the instance serialized under perm, and answers map back
+//     through perm exactly.
+//   - Verification does not prove perm is the one refinement computes. A
+//     perm that differs by an automorphism of the instance serializes to
+//     the same bytes and verifies too: of the 96 graphs of the serving
+//     benchmark's hot mix, 34 still verify with the vertices at canonical
+//     positions 0 and 1 swapped.
+//   - So an answer rendered through a forwarded form is byte-identical to
+//     one rendered through a recomputed form only because the router and
+//     the worker run the same refinement, which ring placement already
+//     requires (the regcoal-canon-v2 rule above).
+//   - A worker accepts a forwarded form from any caller, as it accepts
+//     PUT /internal/cache entries. A forged form sent straight to a
+//     worker can at worst select a different, equally valid rendering of
+//     the same answer; it can never yield a wrong answer.
 
 // Canonical is a canonical relabeling of an instance.
 type Canonical struct {
@@ -115,11 +138,7 @@ func CanonicalForm(f *File) *Canonical {
 	g := f.G
 	n := g.N()
 	s.buildAffinities(g)
-	s.nbOff = ReuseSlice(s.nbOff, n+1)
-	for v := 0; v < n; v++ {
-		s.nbOff[v+1] = s.nbOff[v] + len(g.nbr[v])
-	}
-	s.nbKey = ReuseSlice(s.nbKey, s.nbOff[n])
+	s.sizeNeighborKeys(g)
 	s.colors = ReuseSlice(s.colors, n)
 	s.order = ReuseSlice(s.order, n)
 	s.sigOff = ReuseSlice(s.sigOff, n+1)
@@ -166,7 +185,40 @@ func CanonicalForm(f *File) *Canonical {
 		perm[v] = V(pos)
 		s.colors[v] = pos // hash's key for fillNeighborKeys
 	}
-	return &Canonical{Hash: s.hash(f, perm), Perm: perm}
+	hx := s.hash(f, perm)
+	return &Canonical{Hash: string(hx[:]), Perm: perm}
+}
+
+// VerifyCanonical returns the canonical form (hash, perm) of f when it
+// is one, and nil otherwise: perm must be a permutation of f's vertices,
+// and hash the hex SHA-256 of f's regcoal-canon-v1 serialization under
+// perm. It runs no refinement, only the serialization and one SHA-256,
+// and the Canonical it returns keeps hash and perm. See the package
+// comment for why a form that verifies is sound whoever computed it.
+func VerifyCanonical(f *File, hash string, perm []V) *Canonical {
+	n := f.G.N()
+	if len(perm) != n {
+		return nil
+	}
+	s := canonPool.Get().(*canonScratch)
+	defer canonPool.Put(s)
+	s.order = ReuseSlice(s.order, n)
+	s.colors = ReuseSlice(s.colors, n)
+	for pos := range s.order {
+		s.order[pos] = -1
+	}
+	for v, pos := range perm {
+		if pos < 0 || int(pos) >= n || s.order[pos] >= 0 {
+			return nil // out of range, or a position taken twice
+		}
+		s.order[pos] = V(v)
+		s.colors[v] = int(pos)
+	}
+	s.sizeNeighborKeys(f.G)
+	if hx := s.hash(f, perm); string(hx[:]) != hash {
+		return nil
+	}
+	return &Canonical{Hash: hash, Perm: perm}
 }
 
 // CanonicalHash is CanonicalForm reduced to the hash.
@@ -200,6 +252,16 @@ func (s *canonScratch) buildAffinities(g *Graph) {
 			put(a.Y, a.X, a.Weight)
 		}
 	}
+}
+
+// sizeNeighborKeys lays out the neighbor-key CSR arrays for g.
+func (s *canonScratch) sizeNeighborKeys(g *Graph) {
+	n := g.N()
+	s.nbOff = ReuseSlice(s.nbOff, n+1)
+	for v := 0; v < n; v++ {
+		s.nbOff[v+1] = s.nbOff[v] + len(g.nbr[v])
+	}
+	s.nbKey = ReuseSlice(s.nbKey, s.nbOff[n])
 }
 
 // fillNeighborKeys lists each vertex's neighbors' keys in ascending
@@ -275,9 +337,10 @@ func (s *canonScratch) rank() int {
 }
 
 // hash serializes the instance under perm, with s.order its inverse and
-// s.colors each vertex's position, and returns the hex SHA-256. The serialization is injective on (k, n, edge
-// set, precoloring, affinity multiset) — names are deliberately excluded.
-func (s *canonScratch) hash(f *File, perm []V) string {
+// s.colors each vertex's position, and returns the hex SHA-256. The
+// serialization is injective on (k, n, edge set, precoloring, affinity
+// multiset) — names are deliberately excluded.
+func (s *canonScratch) hash(f *File, perm []V) [2 * sha256.Size]byte {
 	g := f.G
 	b := append(s.buf[:0], "regcoal-canon-v1\nn "...)
 	b = strconv.AppendInt(b, int64(g.N()), 10)
@@ -314,7 +377,7 @@ func (s *canonScratch) hash(f *File, perm []V) string {
 	sum := sha256.Sum256(b)
 	var hx [2 * sha256.Size]byte
 	hex.Encode(hx[:], sum[:])
-	return string(hx[:])
+	return hx
 }
 
 // appendLine appends the serialization line "<tag> <x>…\n".

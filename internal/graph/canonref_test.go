@@ -110,7 +110,19 @@ func v1CanonicalForm(f *graph.File) (hash string, perm []graph.V, classes int) {
 	for pos, v := range order {
 		perm[v] = graph.V(pos)
 	}
+	return v1Hash(f, perm), perm, v1CountDistinct(colors)
+}
 
+// v1Hash is the reference serialization of f under perm, a permutation
+// of its vertices, hashed: the hex SHA-256 a canonical form's Hash must
+// be.
+func v1Hash(f *graph.File, perm []graph.V) string {
+	g := f.G
+	n := g.N()
+	order := make([]graph.V, n)
+	for v, pos := range perm {
+		order[pos] = graph.V(v)
+	}
 	h := sha256.New()
 	fmt.Fprintf(h, "regcoal-canon-v1\nn %d\nk %d\n", n, f.K)
 	for pos, v := range order {
@@ -143,7 +155,7 @@ func v1CanonicalForm(f *graph.File) (hash string, perm []graph.V, classes int) {
 	for _, a := range affs {
 		fmt.Fprintf(h, "a %d %d %d\n", int(a.X), int(a.Y), a.Weight)
 	}
-	return hex.EncodeToString(h.Sum(nil)), perm, v1CountDistinct(colors)
+	return hex.EncodeToString(h.Sum(nil))
 }
 
 // v1Rank numbers signatures densely in sorted string order.
@@ -333,4 +345,83 @@ func FuzzCanonicalForm(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		checkV1(t, fmt.Sprintf("%v", data), fuzzFile(data))
 	})
+}
+
+// FuzzVerifyCanonical checks VerifyCanonical on decoded instances: the
+// form CanonicalForm computes always verifies to itself, and a form
+// mutated by the second input (entries swapped, overwritten, dropped or
+// added, hash digits changed) verifies exactly when its perm is a
+// permutation and the v1 reference serialization under it hashes to its
+// hash. Run with `go test -run '^$' -fuzz FuzzVerifyCanonical
+// ./internal/graph`; under plain `go test` the seeds run as unit tests.
+func FuzzVerifyCanonical(f *testing.F) {
+	f.Add([]byte{}, []byte{})
+	f.Add([]byte{1, 3}, []byte{1, 0, 9})                                                   // one vertex, entry overwritten out of range
+	f.Add([]byte{1, 3, 2, 0, 0, 3, 0, 2}, []byte{2, 0, 0})                                 // one vertex, perm dropped to empty
+	f.Add([]byte{4, 2, 0, 0, 1, 0, 1, 2, 0, 2, 3, 0, 3, 0}, []byte{0, 0, 2})               // 4-cycle, automorphic swap
+	f.Add([]byte{4, 2, 0, 0, 1, 0, 1, 2, 0, 2, 3, 0, 3, 0}, []byte{0, 0, 1})               // 4-cycle, swap of neighbors
+	f.Add([]byte{5, 3}, []byte{0, 1, 4, 0, 2, 3})                                          // edgeless: every swap verifies
+	f.Add([]byte{3, 5, 0, 0, 1, 0, 1, 2, 0, 2, 0, 42, 0, 1, 42, 0, 1}, []byte{1, 2, 8})    // duplicate entry
+	f.Add([]byte{6, 4, 0, 0, 1, 254, 2, 3, 38, 4, 5, 250, 1, 4, 7, 5, 1}, []byte{3, 0, 0}) // an entry added
+	f.Add([]byte{6, 4, 0, 0, 1, 254, 2, 3, 38, 4, 5, 250, 1, 4, 7, 5, 1}, []byte{4, 7, 3}) // a hash digit changed
+	f.Add([]byte{6, 4, 0, 0, 1, 254, 2, 3, 38, 4, 5, 250, 1, 4, 7, 5, 1}, []byte{5, 0, 0}) // hash upper-cased
+	f.Add([]byte{6, 4, 0, 0, 1, 254, 2, 3, 38, 4, 5, 250, 1, 4, 7, 5, 1}, []byte{1, 3, 0}) // negative entry
+	f.Fuzz(func(t *testing.T, data, mutation []byte) {
+		file := fuzzFile(data)
+		want := graph.CanonicalForm(file)
+		own := graph.VerifyCanonical(file, want.Hash, slices.Clone(want.Perm))
+		if own == nil || own.Hash != want.Hash || !slices.Equal(own.Perm, want.Perm) {
+			t.Fatalf("%v: the computed form %s %v does not verify to itself: %v", data, want.Hash, want.Perm, own)
+		}
+		hash, perm := want.Hash, slices.Clone(want.Perm)
+		for i := 0; i+2 < len(mutation); i += 3 {
+			a, b := int(mutation[i+1]), int(mutation[i+2])
+			switch mutation[i] % 6 {
+			case 0:
+				if len(perm) > 0 {
+					a, b = a%len(perm), b%len(perm)
+					perm[a], perm[b] = perm[b], perm[a]
+				}
+			case 1:
+				if len(perm) > 0 {
+					perm[a%len(perm)] = graph.V(b - 8)
+				}
+			case 2:
+				if len(perm) > 0 {
+					perm = perm[:len(perm)-1]
+				}
+			case 3:
+				perm = append(perm, graph.V(b))
+			case 4:
+				hx := []byte(hash)
+				hx[a%len(hx)] = "0123456789abcdef"[b%16]
+				hash = string(hx)
+			case 5:
+				hash = strings.ToUpper(hash)
+			}
+		}
+		accept := isPermutation(perm, file.G.N()) && v1Hash(file, perm) == hash
+		got := graph.VerifyCanonical(file, hash, perm)
+		if (got != nil) != accept {
+			t.Fatalf("%v mutated by %v: VerifyCanonical(%s, %v) = %v, reference accepts: %v", data, mutation, hash, perm, got, accept)
+		}
+		if got != nil && (got.Hash != hash || !slices.Equal(got.Perm, perm)) {
+			t.Fatalf("%v mutated by %v: verified form %s %v, sent %s %v", data, mutation, got.Hash, got.Perm, hash, perm)
+		}
+	})
+}
+
+// isPermutation reports whether perm holds each of 0..n-1 exactly once.
+func isPermutation(perm []graph.V, n int) bool {
+	if len(perm) != n {
+		return false
+	}
+	seen := make([]bool, n)
+	for _, p := range perm {
+		if p < 0 || int(p) >= n || seen[p] {
+			return false
+		}
+		seen[p] = true
+	}
+	return true
 }

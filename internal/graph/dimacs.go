@@ -40,7 +40,7 @@ const MaxDIMACSVertices = 1 << 22
 // where they can be (names, colors); the register count is discarded — use
 // ReadDIMACSFile to keep it.
 func ReadDIMACS(r io.Reader) (*Graph, error) {
-	f, err := ReadDIMACSFile(r)
+	f, err := ReadDIMACSFile(r, 0)
 	if err != nil {
 		return nil, err
 	}
@@ -49,16 +49,21 @@ func ReadDIMACS(r io.Reader) (*Graph, error) {
 
 // ReadDIMACSFile parses a DIMACS .col file with regcoal comments into a
 // File, reconstructing the register count, vertex names, precoloring and
-// affinities that WriteDIMACSFile emitted.
-func ReadDIMACSFile(r io.Reader) (*File, error) {
+// affinities that WriteDIMACSFile emitted. maxVertices > 0 caps the
+// vertex count the p line may declare: over the cap no graph is built,
+// but parsing goes on against the declared count, so a syntax error
+// anywhere is still the error returned; a clean over-cap input returns a
+// *SizeError. Zero means no cap beyond MaxDIMACSVertices.
+func ReadDIMACSFile(r io.Reader, maxVertices int) (*File, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<20), 1<<24)
-	var g *Graph
+	var g *Graph // nil before the p line, and over the cap
+	n := -1      // the p line's vertex count; -1 before it
 	k := 0
 	lineno := 0
 	vertex := func(field string, what string) (V, error) {
 		i, err := strconv.Atoi(field)
-		if err != nil || i < 1 || i > g.N() {
+		if err != nil || i < 1 || i > n {
 			return -1, fmt.Errorf("graph: dimacs line %d: bad %s vertex %q", lineno, what, field)
 		}
 		return V(i - 1), nil
@@ -74,7 +79,7 @@ func ReadDIMACSFile(r io.Reader) (*File, error) {
 			if len(fields) < 3 || fields[1] != "regcoal" {
 				continue // ordinary comment
 			}
-			if g == nil {
+			if n < 0 {
 				return nil, fmt.Errorf("graph: dimacs line %d: regcoal comment before p line", lineno)
 			}
 			switch fields[2] {
@@ -95,7 +100,9 @@ func ReadDIMACSFile(r io.Reader) (*File, error) {
 				if err != nil {
 					return nil, err
 				}
-				g.SetName(v, strings.Join(fields[4:], " "))
+				if g != nil {
+					g.SetName(v, strings.Join(fields[4:], " "))
+				}
 			case "color":
 				if len(fields) != 5 {
 					return nil, fmt.Errorf("graph: dimacs line %d: want 'c regcoal color <v> <color>'", lineno)
@@ -108,7 +115,9 @@ func ReadDIMACSFile(r io.Reader) (*File, error) {
 				if err != nil || c < 0 {
 					return nil, fmt.Errorf("graph: dimacs line %d: bad precolor %q", lineno, fields[4])
 				}
-				g.SetPrecolored(v, c)
+				if g != nil {
+					g.SetPrecolored(v, c)
+				}
 			case "move":
 				if len(fields) != 6 {
 					return nil, fmt.Errorf("graph: dimacs line %d: want 'c regcoal move <x> <y> <weight>'", lineno)
@@ -125,7 +134,9 @@ func ReadDIMACSFile(r io.Reader) (*File, error) {
 				if err != nil || w < 0 {
 					return nil, fmt.Errorf("graph: dimacs line %d: bad move weight %q", lineno, fields[5])
 				}
-				g.AddAffinity(x, y, w)
+				if g != nil {
+					g.AddAffinity(x, y, w)
+				}
 			default:
 				return nil, fmt.Errorf("graph: dimacs line %d: unknown regcoal comment %q", lineno, fields[2])
 			}
@@ -133,24 +144,27 @@ func ReadDIMACSFile(r io.Reader) (*File, error) {
 			if len(fields) != 4 || fields[1] != "edge" {
 				return nil, fmt.Errorf("graph: dimacs line %d: want 'p edge <n> <m>'", lineno)
 			}
-			n, err := strconv.Atoi(fields[2])
-			if err != nil || n < 0 {
+			count, err := strconv.Atoi(fields[2])
+			if err != nil || count < 0 {
 				return nil, fmt.Errorf("graph: dimacs line %d: bad vertex count", lineno)
 			}
-			if n > MaxDIMACSVertices {
-				return nil, fmt.Errorf("graph: dimacs line %d: vertex count %d exceeds limit %d", lineno, n, MaxDIMACSVertices)
+			if count > MaxDIMACSVertices {
+				return nil, fmt.Errorf("graph: dimacs line %d: vertex count %d exceeds limit %d", lineno, count, MaxDIMACSVertices)
 			}
 			// The edge count is not used (edges are counted as they are
 			// read) but a malformed one still fails the parse.
 			if m, err := strconv.Atoi(fields[3]); err != nil || m < 0 {
 				return nil, fmt.Errorf("graph: dimacs line %d: bad edge count %q", lineno, fields[3])
 			}
-			if g != nil {
+			if n >= 0 {
 				return nil, fmt.Errorf("graph: dimacs line %d: duplicate p line", lineno)
 			}
-			g = New(n)
+			n = count
+			if maxVertices <= 0 || n <= maxVertices {
+				g = New(n)
+			}
 		case "e":
-			if g == nil {
+			if n < 0 {
 				return nil, fmt.Errorf("graph: dimacs line %d: edge before p line", lineno)
 			}
 			if len(fields) != 3 {
@@ -167,7 +181,9 @@ func ReadDIMACSFile(r io.Reader) (*File, error) {
 			if u == v {
 				return nil, fmt.Errorf("graph: dimacs line %d: self-loop edge", lineno)
 			}
-			g.AddEdge(u, v)
+			if g != nil {
+				g.AddEdge(u, v)
+			}
 		default:
 			return nil, fmt.Errorf("graph: dimacs line %d: unknown record %q", lineno, fields[0])
 		}
@@ -175,8 +191,11 @@ func ReadDIMACSFile(r io.Reader) (*File, error) {
 	if err := sc.Err(); err != nil {
 		return nil, err
 	}
-	if g == nil {
+	switch {
+	case n < 0:
 		return nil, fmt.Errorf("graph: dimacs input has no p line")
+	case g == nil:
+		return nil, &SizeError{N: n, Limit: maxVertices, K: k}
 	}
 	return &File{G: g, K: k}, nil
 }

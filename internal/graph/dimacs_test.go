@@ -82,7 +82,7 @@ func TestDIMACSFileRoundTripBytes(t *testing.T) {
 		if err := WriteDIMACSFile(&first, f); err != nil {
 			t.Fatal(err)
 		}
-		back, err := ReadDIMACSFile(strings.NewReader(first.String()))
+		back, err := ReadDIMACSFile(strings.NewReader(first.String()), 0)
 		if err != nil {
 			t.Fatalf("trial %d: read back: %v\n%s", trial, err, first.String())
 		}
@@ -119,7 +119,7 @@ func TestDIMACSFileRejectsBadNames(t *testing.T) {
 	if err := WriteDIMACSFile(&b, &File{G: g, K: 2}); err != nil {
 		t.Fatal(err)
 	}
-	back, err := ReadDIMACSFile(strings.NewReader(b.String()))
+	back, err := ReadDIMACSFile(strings.NewReader(b.String()), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +137,7 @@ c regcoal move 1 3 7
 e 1 2
 e 2 3
 `
-	f, err := ReadDIMACSFile(strings.NewReader(src))
+	f, err := ReadDIMACSFile(strings.NewReader(src), 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -30,8 +30,22 @@ type File struct {
 	K int
 }
 
-// ReadFrom parses the textual format.
-func ReadFrom(r io.Reader) (*File, error) {
+// SizeError is what a reader returns for an input that declares more
+// vertices than its cap allows: the input parsed cleanly, but its graph
+// was not built. N is the full vertex count; K is the register count the
+// input declared (0 if none), so a caller can still tell a missing one.
+type SizeError struct{ N, Limit, K int }
+
+func (e *SizeError) Error() string {
+	return fmt.Sprintf("graph carries %d vertices, limit %d", e.N, e.Limit)
+}
+
+// ReadFrom parses the textual format. maxVertices > 0 caps the vertices
+// the input may name: past the cap the graph is dropped and names are
+// only counted, but parsing goes on, so a syntax error anywhere is still
+// the error returned; a clean over-cap input returns a *SizeError. Zero
+// means no cap.
+func ReadFrom(r io.Reader, maxVertices int) (*File, error) {
 	g := New(0)
 	k := 0
 	byName := make(map[string]V)
@@ -39,8 +53,14 @@ func ReadFrom(r io.Reader) (*File, error) {
 		if v, ok := byName[name]; ok {
 			return v
 		}
-		v := g.AddNamedVertex(name)
+		v := V(len(byName))
 		byName[name] = v
+		if maxVertices > 0 && len(byName) > maxVertices {
+			g = nil
+		}
+		if g != nil {
+			g.AddNamedVertex(name)
+		}
 		return v
 	}
 	sc := bufio.NewScanner(r)
@@ -80,7 +100,9 @@ func ReadFrom(r io.Reader) (*File, error) {
 				if err != nil || c < 0 {
 					return nil, fmt.Errorf("graph: line %d: bad precolor %q", lineno, fields[2])
 				}
-				g.SetPrecolored(v, c)
+				if g != nil {
+					g.SetPrecolored(v, c)
+				}
 			}
 		case "edge":
 			if len(fields) != 3 {
@@ -90,7 +112,9 @@ func ReadFrom(r io.Reader) (*File, error) {
 			if u == v {
 				return nil, fmt.Errorf("graph: line %d: self-interference on %q", lineno, fields[1])
 			}
-			g.AddEdge(u, v)
+			if g != nil {
+				g.AddEdge(u, v)
+			}
 		case "move":
 			if len(fields) != 3 && len(fields) != 4 {
 				return nil, fmt.Errorf("graph: line %d: want 'move <a> <b> [weight]'", lineno)
@@ -104,13 +128,18 @@ func ReadFrom(r io.Reader) (*File, error) {
 				}
 				w = parsed
 			}
-			g.AddAffinity(u, v, w)
+			if g != nil {
+				g.AddAffinity(u, v, w)
+			}
 		default:
 			return nil, fmt.Errorf("graph: line %d: unknown directive %q", lineno, fields[0])
 		}
 	}
 	if err := sc.Err(); err != nil {
 		return nil, fmt.Errorf("graph: reading: %w", err)
+	}
+	if g == nil {
+		return nil, &SizeError{N: len(byName), Limit: maxVertices, K: k}
 	}
 	return &File{G: g, K: k}, nil
 }
@@ -145,7 +174,7 @@ func (f *File) Write(w io.Writer) error {
 // ParseString parses the textual format from a string; it is a convenience
 // for tests and examples.
 func ParseString(s string) (*File, error) {
-	return ReadFrom(strings.NewReader(s))
+	return ReadFrom(strings.NewReader(s), 0)
 }
 
 // FormatString renders the file to a string.

@@ -1,14 +1,49 @@
 package graph
 
 import (
+	"errors"
 	"strings"
 	"testing"
 )
 
 // Fuzz targets: the two parsers must never panic and, when they accept an
-// input, must produce a graph that validates and survives a round trip.
+// input, must produce a graph that validates and survives a round trip;
+// a read under a small vertex cap must agree with an uncapped one.
 // Run with `go test -fuzz FuzzReadFrom ./internal/graph` for active
 // fuzzing; under plain `go test` the seed corpus runs as unit tests.
+
+// fuzzMaxVertices caps every read the fuzz targets make, so an input
+// declaring millions of vertices is refused instead of exhausting memory.
+const fuzzMaxVertices = 1 << 12
+
+// checkCapped requires a read of input under a cap of 3 vertices to agree
+// with one under fuzzMaxVertices: the same error when that fails, a
+// *SizeError carrying its vertex and register counts when it has more
+// than 3 vertices, and the same instance otherwise.
+func checkCapped(t *testing.T, input string, read func(input string, maxVertices int) (*File, error)) {
+	t.Helper()
+	const limit = 3
+	want, werr := read(input, fuzzMaxVertices)
+	got, err := read(input, limit)
+	var big *SizeError
+	switch {
+	case errors.As(werr, &big):
+		// Too large for the reference read to build.
+		if !errors.As(err, &big) || big.N != werr.(*SizeError).N {
+			t.Fatalf("%q: capped read: %v, reference: %v", input, err, werr)
+		}
+	case werr != nil:
+		if err == nil || err.Error() != werr.Error() {
+			t.Fatalf("%q: capped read: %v, uncapped: %v", input, err, werr)
+		}
+	case want.G.N() > limit:
+		if !errors.As(err, &big) || *big != (SizeError{N: want.G.N(), Limit: limit, K: want.K}) {
+			t.Fatalf("%q: capped read: %v, want a size error for %d vertices, k %d", input, err, want.G.N(), want.K)
+		}
+	case err != nil || !EqualFiles(got, want):
+		t.Fatalf("%q: capped read %v differs from the uncapped one", input, err)
+	}
+}
 
 func FuzzReadFrom(f *testing.F) {
 	f.Add("k 3\nnode a\nedge a b\nmove a b 2\n")
@@ -17,8 +52,13 @@ func FuzzReadFrom(f *testing.F) {
 	f.Add("edge a a\n")
 	f.Add("k -1\n")
 	f.Add("move a b 99999999999999999999\n")
+	f.Add("k 2\nnode a\nnode b\nedge c d\nnode e :1\nmove a e 3\n") // over the cap
+	f.Add("node a\nnode b\nnode c\nnode d\nbogus\n")                // over the cap, then an error
 	f.Fuzz(func(t *testing.T, input string) {
-		file, err := ParseString(input)
+		checkCapped(t, input, func(input string, maxVertices int) (*File, error) {
+			return ReadFrom(strings.NewReader(input), maxVertices)
+		})
+		file, err := ReadFrom(strings.NewReader(input), fuzzMaxVertices)
 		if err != nil {
 			return
 		}
@@ -53,8 +93,15 @@ func FuzzReadFile(f *testing.F) {
 	f.Add("c regcoal k 4\np edge 1 0\n")        // comment before p
 	f.Add("p edge 2 0\nc regcoal color 1 -3\n") // bad precolor
 	f.Add("p edge 2 0\nc regcoal move 1 2 99999999999999999999\n")
+	f.Add("p edge 5 2\nc regcoal k 2\nc regcoal name 5 e\nc regcoal move 1 5 3\ne 1 2\ne 4 5\n") // over the cap
+	f.Add("p edge 5 1\nc regcoal k 2\ne 1 6\n")                                                  // over the cap, then an error
+	f.Add("p edge 5 0\np edge 2 0\n")                                                            // duplicate p line
+	f.Add("p edge 299999 0")                                                                     // ~11 GB uncapped
 	f.Fuzz(func(t *testing.T, input string) {
-		file, err := ReadDIMACSFile(strings.NewReader(input))
+		checkCapped(t, input, func(input string, maxVertices int) (*File, error) {
+			return ReadDIMACSFile(strings.NewReader(input), maxVertices)
+		})
+		file, err := ReadDIMACSFile(strings.NewReader(input), fuzzMaxVertices)
 		if err != nil {
 			return
 		}
@@ -68,7 +115,7 @@ func FuzzReadFile(f *testing.F) {
 			// file must always serialize.
 			t.Fatalf("write of parsed file failed: %v", werr)
 		}
-		back, err := ReadDIMACSFile(strings.NewReader(first.String()))
+		back, err := ReadDIMACSFile(strings.NewReader(first.String()), 0)
 		if err != nil {
 			t.Fatalf("round trip failed: %v\n%s", err, first.String())
 		}

@@ -60,51 +60,53 @@ func decodeDelta(body []byte, maxVertices int) (DeltaRequest, *graph.File, error
 		return req, nil, badRequest("create requires a graph")
 	}
 	f, err := req.Graph.ToFile(maxVertices)
-	var big *sizeError
+	var big *graph.SizeError
 	switch {
 	case errors.As(err, &big):
 		return req, nil, badRequest("%v", err)
 	case err != nil:
 		return req, nil, badRequest("parsing graph: %v", err)
-	case f.G.N() > maxVertices:
-		return req, nil, badRequest("%v", &sizeError{n: f.G.N(), limit: maxVertices})
 	}
 	return req, f, nil
 }
 
 // RouteKey maps a /v1/{coalesce,allocate,spill} body to the key a cluster
-// router shards it by: RoutingHash of the body's request, or "" when it
-// cannot be canonicalized and goes to the fallback shard.
-func RouteKey(body []byte, maxVertices int) string {
+// router shards it by — RoutingHash of the body's request, or "" when it
+// cannot be canonicalized and goes to the fallback shard — and to the
+// CanonHeader value that forwards the key's canonical form. form is ""
+// when the scanner declined the body (the fallback computes only a
+// hash) or the form is over the header bound.
+func RouteKey(body []byte, maxVertices int) (key, form string) {
 	if req, f, ok := scanSolve(body, maxVertices); ok {
-		return routeHash(f, req.K, maxVertices)
+		return keyAndForm(routeForm(f, req.K))
 	}
 	var req Request
 	if err := json.Unmarshal(body, &req); err != nil {
-		return ""
+		return "", ""
 	}
-	return RoutingHash(&req, maxVertices)
+	return RoutingHash(&req, maxVertices), ""
 }
 
-// DeltaRouteKey maps a /v1/coalesce/delta body to its routing key:
-// base_hash verbatim when present, else (a create) the canonical hash of
-// the carried graph — the base_hash the worker will mint, so the create
-// lands where its deltas will.
-func DeltaRouteKey(body []byte, maxVertices int) string {
+// DeltaRouteKey maps a /v1/coalesce/delta body to its routing key and
+// CanonHeader value, as RouteKey does: base_hash verbatim when present
+// (no form), else (a create) the canonical hash of the carried graph —
+// the base_hash the worker will mint, so the create lands where its
+// deltas will.
+func DeltaRouteKey(body []byte, maxVertices int) (key, form string) {
 	if k, f, ok := scanCreate(body, maxVertices); ok {
-		return routeHash(f, k, maxVertices)
+		return keyAndForm(routeForm(f, k))
 	}
 	var req DeltaRequest
 	if err := json.Unmarshal(body, &req); err != nil {
-		return ""
+		return "", ""
 	}
 	if req.BaseHash != "" {
-		return req.BaseHash
+		return req.BaseHash, ""
 	}
 	if req.Graph == nil {
-		return ""
+		return "", ""
 	}
-	return RoutingHash(&Request{Graph: req.Graph, K: req.K}, maxVertices)
+	return RoutingHash(&Request{Graph: req.Graph, K: req.K}, maxVertices), ""
 }
 
 // scanSolve scans a solve body; ok is false when the scanner declines.

@@ -220,8 +220,30 @@ func checkSolveDecode(t *testing.T, body []byte) {
 	if err := json.Unmarshal(body, &lenient); err != nil {
 		t.Fatalf("scanner accepted %q, json.Unmarshal: %v", body, err)
 	}
-	if got, want := service.RouteKey(body, fuzzMaxVertices), service.RoutingHash(&lenient, fuzzMaxVertices); got != want {
+	got, form := service.RouteKey(body, fuzzMaxVertices)
+	if want := service.RoutingHash(&lenient, fuzzMaxVertices); got != want {
 		t.Fatalf("%q: routing key %q, lenient decode %q", body, got, want)
+	}
+	checkForm(t, body, got, form, wf, want.K)
+}
+
+// checkForm requires the router's CanonHeader value for key to verify
+// against the graph the worker's strict decode built, under the
+// request's k override, to key itself.
+func checkForm(t *testing.T, body []byte, key, form string, wf *graph.File, reqK int) {
+	t.Helper()
+	if key == "" {
+		if form != "" {
+			t.Fatalf("%q: a form %q without a routing key", body, form)
+		}
+		return
+	}
+	k := wf.K
+	if reqK > 0 {
+		k = reqK
+	}
+	if c := service.VerifyForm(&graph.File{G: wf.G, K: k}, form); c == nil || c.Hash != key {
+		t.Fatalf("%q: the router's form %q does not verify to its key %q", body, form, key)
 	}
 }
 
@@ -253,9 +275,11 @@ func checkCreateDecode(t *testing.T, body []byte) {
 		t.Fatalf("scanner accepted create %q, json.Unmarshal: %v", body, err)
 	}
 	wantKey := service.RoutingHash(&service.Request{Graph: lenient.Graph, K: lenient.K}, fuzzMaxVertices)
-	if got := service.DeltaRouteKey(body, fuzzMaxVertices); got != wantKey || lenient.BaseHash != "" {
+	got, form := service.DeltaRouteKey(body, fuzzMaxVertices)
+	if got != wantKey || lenient.BaseHash != "" {
 		t.Fatalf("%q: routing key %q, lenient decode %q (base_hash %q)", body, got, wantKey, lenient.BaseHash)
 	}
+	checkForm(t, body, got, form, wf, want.K)
 }
 
 // sameFile requires two decodes of body to have built the same instance.

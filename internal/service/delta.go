@@ -177,9 +177,10 @@ func (s *Server) handleDelta(w http.ResponseWriter, r *http.Request) {
 		}
 		// The base hash is computed exactly like RoutingHash so that the
 		// cluster router's key for the create body and for subsequent
-		// delta bodies (which echo it) land on the same shard.
+		// delta bodies (which echo it) land on the same shard; a form the
+		// router forwarded is verified instead.
 		tr.BeginPhase(obs.PhaseCanon)
-		baseHash := graph.CanonicalForm(&graph.File{G: f.G, K: k}).Hash
+		baseHash := s.canonicalForm(&graph.File{G: f.G, K: k}, r.Header.Get(CanonHeader)).Hash
 		tr.EndPhase()
 		tr.BeginPhase(obs.PhaseRace)
 		sess, err := s.sessions.Create(f, k, baseHash)

@@ -4,4 +4,5 @@ package service
 var (
 	ScanSolve  = scanSolve
 	ScanCreate = scanCreate
+	VerifyForm = verifyForm
 )

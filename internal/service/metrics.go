@@ -27,6 +27,8 @@ type Metrics struct {
 	Errors                atomic.Int64
 	DeadlineHits          atomic.Int64
 	InFlight              atomic.Int64
+	CanonForwarded        atomic.Int64
+	CanonForwardRejected  atomic.Int64
 
 	strategyWins obs.Labeled[atomic.Int64] // portfolio races won, per strategy
 }
@@ -54,6 +56,8 @@ func (s *Server) declareMetrics() {
 	r.Counter("regcoal_bad_requests_total", "Requests rejected with 400.", m.BadRequests.Load)
 	r.Counter("regcoal_errors_total", "Requests failed with 5xx.", m.Errors.Load)
 	r.Counter("regcoal_deadline_hits_total", "Races cut off by the request deadline.", m.DeadlineHits.Load)
+	r.Counter("regcoal_canon_forwarded_total", "Forwarded canonical forms verified and used instead of recomputed.", m.CanonForwarded.Load)
+	r.Counter("regcoal_canon_forward_rejected_total", "Forwarded canonical forms that failed verification and were recomputed.", m.CanonForwardRejected.Load)
 	r.Gauge("regcoal_in_flight", "Requests currently being served.", m.InFlight.Load)
 	r.Gauge("regcoal_cache_entries", "Entries in the result cache.", func() int64 { return int64(s.cache.Len()) })
 	r.Gauge("regcoal_queue_depth", "Jobs waiting for a pool worker.", func() int64 { return int64(s.pool.QueueDepth()) })
@@ -80,6 +84,8 @@ type Stats struct {
 	BadRequests           int64            `json:"bad_requests"`
 	Errors                int64            `json:"errors"`
 	DeadlineHits          int64            `json:"deadline_hits"`
+	CanonForwarded        int64            `json:"canon_forwarded"`
+	CanonForwardRejected  int64            `json:"canon_forward_rejected"`
 	InFlight              int64            `json:"in_flight"`
 	QueueDepth            int              `json:"queue_depth"`
 	StrategyWins          map[string]int64 `json:"strategy_wins"`

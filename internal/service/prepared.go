@@ -2,15 +2,16 @@ package service
 
 // The solve pipeline every solve and batch request runs through:
 //
-//	p, err := s.prepare(kind, req, tr)               // parse, validate, canonicalize
+//	p, err := s.prepare(kind, req, f, form, tr)      // parse, validate, canonicalize or verify form
 //	out, disp, filled, err := s.solve(p, tr, admit)  // cache → Fill → singleflight → Admit → race
 //
 // prepare is the expensive decode side (graph build + Weisfeiler-Leman
-// canonicalization); solve is the answer side. A distribution tier (the
-// cluster worker in internal/cluster) joins the pipeline through the
-// Tier hook installed with SetTier instead of wrapping the handlers: it
-// sees each Prepared's canonical hash, cache key and size at fixed
-// points, and never the response bytes.
+// canonicalization, or verification of the form a router forwarded);
+// solve is the answer side. A distribution tier (the cluster worker in
+// internal/cluster) joins the pipeline through the Tier hook installed
+// with SetTier instead of wrapping the handlers: it sees each Prepared's
+// canonical hash, cache key and size at fixed points, and never the
+// response bytes.
 
 import (
 	"context"
@@ -87,24 +88,26 @@ func (p *Prepared) Density() float64 {
 // prepare parses and validates a single-graph request into a Prepared:
 // graph decode, register-count resolution, size cap, strategy validation,
 // freeze, and canonicalization. f is the graph when the body's decode
-// already built it (nil: build it from req.Graph). Every error is a 400.
-// The canonicalization phase is recorded onto tr (nil ok), closing any
-// phase open on entry.
-func (s *Server) prepare(kind Kind, req *Request, f *graph.File, tr *obs.Trace) (*Prepared, error) {
+// already built it (nil: build it from req.Graph); both decoders refuse
+// a graph over the cap before building it. form is the request's
+// CanonHeader value ("" when it has none). Every error is a 400. The
+// canonicalization phase is recorded onto tr (nil ok), closing any phase
+// open on entry.
+func (s *Server) prepare(kind Kind, req *Request, f *graph.File, form string, tr *obs.Trace) (*Prepared, error) {
 	if f == nil {
 		if req.Graph == nil {
 			return nil, badRequest("missing graph")
 		}
 		var ferr error
 		f, ferr = req.Graph.ToFile(s.cfg.MaxVertices)
-		if big := (*sizeError)(nil); errors.As(ferr, &big) {
+		if big := (*graph.SizeError)(nil); errors.As(ferr, &big) {
 			// Refused before it was built. A missing register count
 			// still answers first, as it did when the cap was checked
 			// after the build.
-			if req.K <= 0 && req.Graph.K <= 0 {
+			if req.K <= 0 && req.Graph.K <= 0 && big.K <= 0 {
 				return nil, badRequest(noRegisterCount)
 			}
-			return nil, badRequest("graph has %d vertices, limit %d", big.n, big.limit)
+			return nil, badRequest("graph has %d vertices, limit %d", big.N, big.Limit)
 		}
 		if ferr != nil {
 			return nil, badRequest("%v", ferr)
@@ -116,9 +119,6 @@ func (s *Server) prepare(kind Kind, req *Request, f *graph.File, tr *obs.Trace) 
 	}
 	if k <= 0 {
 		return nil, badRequest(noRegisterCount)
-	}
-	if f.G.N() > s.cfg.MaxVertices {
-		return nil, badRequest("graph has %d vertices, limit %d", f.G.N(), s.cfg.MaxVertices)
 	}
 	// Freeze the parsed graph: every portfolio racer reads this one
 	// instance concurrently — a shared read-only snapshot instead of a
@@ -146,7 +146,7 @@ func (s *Server) prepare(kind Kind, req *Request, f *graph.File, tr *obs.Trace) 
 	}
 
 	tr.BeginPhase(obs.PhaseCanon)
-	canon := graph.CanonicalForm(inst)
+	canon := s.canonicalForm(inst, form)
 	tr.EndPhase()
 	return &Prepared{
 		kind:       kind,
@@ -388,21 +388,22 @@ func RoutingHash(req *Request, maxVertices int) string {
 	if err != nil {
 		return ""
 	}
-	return routeHash(f, req.K, maxVertices)
+	if c := routeForm(f, req.K); c != nil {
+		return c.Hash
+	}
+	return ""
 }
 
-// routeHash is RoutingHash for an already built graph and the request's
-// k override.
-func routeHash(f *graph.File, reqK, maxVertices int) string {
+// routeForm is the canonical form a router shards an already built graph
+// by, under the request's k override, or nil when no register count is
+// set.
+func routeForm(f *graph.File, reqK int) *graph.Canonical {
 	k := f.K
 	if reqK > 0 {
 		k = reqK
 	}
 	if k <= 0 {
-		return ""
+		return nil
 	}
-	if maxVertices > 0 && f.G.N() > maxVertices {
-		return ""
-	}
-	return graph.CanonicalForm(&graph.File{G: f.G, K: k}).Hash
+	return graph.CanonicalForm(&graph.File{G: f.G, K: k})
 }

@@ -54,11 +54,15 @@ import (
 // solve timeline; PhasesHeader reports per-phase durations on every
 // traced response; FamilyHeader lets load generators label requests
 // with a corpus family for pprof attribution and /debug/requests.
+// CanonHeader carries the canonical form a cluster router routed a
+// request by, for the worker to verify instead of recompute (see
+// canonform.go).
 const (
 	TraceIDHeader = "X-Regcoal-Trace-Id"
 	TraceHeader   = "X-Regcoal-Trace"
 	PhasesHeader  = "X-Regcoal-Phases"
 	FamilyHeader  = "X-Regcoal-Family"
+	CanonHeader   = "X-Regcoal-Canon"
 )
 
 // Config parameterizes a Server. Zero values take defaults.
@@ -409,7 +413,7 @@ func (s *Server) handleSolve(kind Kind) http.HandlerFunc {
 			fail(err)
 			return
 		}
-		p, err := s.prepare(kind, &req, f, tr)
+		p, err := s.prepare(kind, &req, f, r.Header.Get(CanonHeader), tr)
 		if err != nil {
 			fail(err)
 			return
@@ -522,7 +526,7 @@ func (s *Server) runBatch(kind Kind, items []Request) *BatchResponse {
 // by the pool queue, whose saturation surfaces per entry). A malformed
 // element counts as a bad request.
 func (s *Server) solveBatchItem(kind Kind, sub *Request) BatchEntry {
-	p, err := s.prepare(kind, sub, nil, nil)
+	p, err := s.prepare(kind, sub, nil, "", nil)
 	if err != nil {
 		s.metrics.BadRequests.Add(1)
 		return BatchEntry{Error: err.Error()}

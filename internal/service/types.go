@@ -43,8 +43,9 @@ type GraphSpec struct {
 }
 
 // ToFile decodes the spec into an instance. maxVertices > 0 caps the
-// vertex count a native spec may declare: an over-cap spec is refused with
-// a *sizeError before its graph is built.
+// vertex count in every encoding: an over-cap spec is refused with a
+// *graph.SizeError before its graph is built (a text or DIMACS payload is
+// still parsed to its end, so a later syntax error wins).
 func (s *GraphSpec) ToFile(maxVertices int) (*graph.File, error) {
 	encodings := 0
 	if s.Text != "" {
@@ -65,19 +66,12 @@ func (s *GraphSpec) ToFile(maxVertices int) (*graph.File, error) {
 	}
 	switch {
 	case s.Text != "":
-		return graph.ReadFrom(strings.NewReader(s.Text))
+		return graph.ReadFrom(strings.NewReader(s.Text), maxVertices)
 	case s.Dimacs != "":
-		return graph.ReadDIMACSFile(strings.NewReader(s.Dimacs))
+		return graph.ReadDIMACSFile(strings.NewReader(s.Dimacs), maxVertices)
 	default:
 		return s.toNativeFile(maxVertices)
 	}
-}
-
-// sizeError refuses a graph over the server's vertex cap.
-type sizeError struct{ n, limit int }
-
-func (e *sizeError) Error() string {
-	return fmt.Sprintf("graph carries %d vertices, limit %d", e.n, e.limit)
 }
 
 func (s *GraphSpec) toNativeFile(maxVertices int) (*graph.File, error) {
@@ -153,7 +147,7 @@ func nativeGraph(n int, edges []graph.V, moves []graph.Affinity, pins []int, max
 		}
 	}
 	if maxVertices > 0 && n > maxVertices {
-		return nil, &sizeError{n: n, limit: maxVertices}
+		return nil, &graph.SizeError{N: n, Limit: maxVertices}
 	}
 	for i := range moves {
 		if moves[i].Weight == 0 {

@@ -59,7 +59,7 @@ func NewGraph(n int) *Graph { return graph.New(n) }
 func NewNamedGraph(names ...string) *Graph { return graph.NewNamed(names...) }
 
 // ReadGraph parses the textual instance format (see internal/graph).
-func ReadGraph(r io.Reader) (*File, error) { return graph.ReadFrom(r) }
+func ReadGraph(r io.Reader) (*File, error) { return graph.ReadFrom(r, 0) }
 
 // Strategy names a coalescing strategy for Run.
 type Strategy string
