@@ -91,6 +91,7 @@ func TestChaosDifferentialByteIdentityUnderFaults(t *testing.T) {
 	}
 
 	requireFormsForwarded(t, c)
+	requireCleanRebuilds(t, c)
 
 	// The run must actually have exercised the machinery under test: the
 	// plan fired (drops from the blackhole, injected errors from w2) and

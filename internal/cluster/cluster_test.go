@@ -23,6 +23,7 @@ import (
 	"regcoal/internal/corpus"
 	"regcoal/internal/graph"
 	"regcoal/internal/service"
+	"regcoal/internal/session"
 )
 
 func startCluster(t *testing.T, n int, opts cluster.InProcessOptions) *cluster.InProcess {
@@ -119,6 +120,31 @@ func relabeledFileT(f *graph.File, perm []int) *graph.File {
 }
 
 var allEndpoints = []string{"/v1/coalesce", "/v1/allocate", "/v1/spill"}
+
+// replayLog seeds session id on s from a create-only op log through the
+// session store's receive and first use, the path a replica's failover
+// takes, and returns the replay's error.
+func replayLog(s *service.Server, id, baseHash string, create []byte) error {
+	if _, err := s.Sessions().Receive(&session.ExportRecord{SessionID: id, BaseHash: baseHash, Create: create}); err != nil {
+		return err
+	}
+	_, err := s.Sessions().Get(id)
+	return err
+}
+
+// requireCleanRebuilds asserts that no worker failed to replay a session
+// op log, or replayed one to a version other than the log's.
+func requireCleanRebuilds(t *testing.T, c *cluster.InProcess) {
+	t.Helper()
+	for _, w := range c.Workers {
+		st := w.Service.Registry().Snapshot()
+		for _, key := range []string{"session_rebuild_failures", "session_rebuild_divergence"} {
+			if n, ok := st[key].(int64); !ok || n != 0 {
+				t.Fatalf("worker %s: %s = %v, want 0", w.URL, key, st[key])
+			}
+		}
+	}
+}
 
 // requireFormsForwarded asserts that, summed over the workers, some
 // canonical forms the router forwarded were verified and used and none

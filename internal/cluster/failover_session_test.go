@@ -8,15 +8,18 @@ package cluster_test
 // uninterrupted primary would have. The reference for "exact bytes" is a
 // single-process service replaying the same log and applying the same
 // batches. Two cases disturb the log on its way: a dropped push the
-// secondary must catch up from, and a versioned apply logged twice, as
-// every handler singleflight collapses onto one apply logs it.
+// secondary must catch up from, and a versioned batch sent as concurrent
+// duplicates that the primary's singleflight collapses onto one apply,
+// which each collapsed handler ships again.
 
 import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"slices"
+	"sync"
 	"testing"
 	"time"
 
@@ -39,9 +42,9 @@ func TestSessionFailoverRebuildsFromReplicatedLog(t *testing.T) {
 		// delta's record): the secondary must refuse the next record as
 		// a gap and catch up from the primary's full log.
 		dropPush bool
-		// dupAfter > 0 hands the primary's SessionApplied the request,
-		// body and response of batch dupAfter a second time, as every
-		// handler singleflight collapsed onto one versioned apply does.
+		// dupAfter > 0 fires batch dupAfter at the primary as concurrent
+		// duplicates (see collapseOnPrimary) instead of once through the
+		// router.
 		dupAfter int
 	}{
 		{family: "chordal", kill: 3},
@@ -122,7 +125,7 @@ func TestSessionFailoverRebuildsFromReplicatedLog(t *testing.T) {
 			// with the same session (same id, via the replay path the
 			// secondary itself uses) answering the same batches.
 			refSvc, ref := startSingle(t, scfg)
-			if err := refSvc.ReplaySession(created.SessionID, created.BaseHash, createBody, nil); err != nil {
+			if err := replayLog(refSvc, created.SessionID, created.BaseHash, createBody); err != nil {
 				t.Fatal(err)
 			}
 
@@ -162,6 +165,10 @@ func TestSessionFailoverRebuildsFromReplicatedLog(t *testing.T) {
 				if wantStatus != http.StatusOK {
 					t.Fatalf("reference delta %d: status %d: %s", i, wantStatus, want)
 				}
+				if i == tc.dupAfter && i > 0 {
+					collapseOnPrimary(t, c.Workers[primaryIdx], created.SessionID, v, body, want)
+					continue
+				}
 				gotStatus, ghdr, got := post(t, c.RouterURL+"/v1/coalesce/delta", body)
 				if gotStatus != http.StatusOK {
 					t.Fatalf("delta %d: status %d: %s", i, gotStatus, got)
@@ -176,13 +183,6 @@ func TestSessionFailoverRebuildsFromReplicatedLog(t *testing.T) {
 				if i >= tc.kill && shard != secondaryW.URL {
 					t.Fatalf("delta %d landed on %s after the kill, want secondary %s", i, shard, secondaryW.URL)
 				}
-				if i == tc.dupAfter && i > 0 {
-					var resp service.DeltaResponse
-					if err := json.Unmarshal(got, &resp); err != nil {
-						t.Fatal(err)
-					}
-					c.Workers[primaryIdx].Worker.SessionApplied(&req, body, &resp)
-				}
 			}
 			wantGaps := int64(0)
 			if tc.dropPush {
@@ -195,6 +195,7 @@ func TestSessionFailoverRebuildsFromReplicatedLog(t *testing.T) {
 			if rebuilds := secondaryW.Service.Registry().Snapshot().Int("session_rebuilds"); rebuilds != 1 {
 				t.Fatalf("secondary rebuilt the session %d times, want exactly 1", rebuilds)
 			}
+			requireCleanRebuilds(t, c)
 			if r := c.Router.Stats().Int("router_retries"); r == 0 {
 				t.Fatal("no router retries recorded across a primary death")
 			}
@@ -213,6 +214,68 @@ func TestSessionFailoverRebuildsFromReplicatedLog(t *testing.T) {
 				t.Fatalf("close landed on %s, want secondary %s", shard, secondaryW.URL)
 			}
 		})
+	}
+}
+
+// collapseOnPrimary fires n copies of one versioned batch at the
+// session's primary at once, holding the session until every copy is in
+// its handler, so the store's singleflight collapses them onto one
+// apply. That apply is logged once and each collapsed handler ships the
+// same record, which the replicas must take as duplicates. Every 200
+// must carry the reference's bytes; a copy that reached the store after
+// the apply gets the version conflict any late duplicate gets.
+func collapseOnPrimary(t *testing.T, w *cluster.InProcessWorker, id string, version int64, body, want []byte) {
+	t.Helper()
+	const n = 8
+	sess, err := w.Service.Sessions().Get(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	applies := w.Service.Registry().Snapshot().Int("session_applies")
+	held, release := make(chan struct{}), make(chan struct{})
+	go sess.View(func(*session.Solve) { close(held); <-release })
+	<-held
+	statuses, bodies := make([]int, n), make([][]byte, n)
+	var wg sync.WaitGroup
+	for i := range n {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			resp, err := http.Post(w.URL+"/v1/coalesce/delta", "application/json", bytes.NewReader(body))
+			if err != nil {
+				t.Errorf("duplicate %d: %v", i, err)
+				return
+			}
+			defer resp.Body.Close()
+			statuses[i] = resp.StatusCode
+			bodies[i], _ = io.ReadAll(resp.Body)
+		}()
+	}
+	// The apply cannot finish while the session is held; once every copy
+	// is in its handler, the last ones are microseconds from the flight.
+	for w.Service.Metrics().InFlight.Load() < n {
+		time.Sleep(time.Millisecond)
+	}
+	time.Sleep(50 * time.Millisecond)
+	close(release)
+	wg.Wait()
+
+	late := fmt.Sprintf(`{"error":"version conflict: session at %d, request expects %d"}`, version+1, version)
+	answered := 0
+	for i := range n {
+		switch {
+		case statuses[i] == http.StatusOK && bytes.Equal(bodies[i], want):
+			answered++
+		case statuses[i] == http.StatusConflict && string(bodies[i]) == late:
+		default:
+			t.Fatalf("duplicate %d: (%d) %s, want the reference's bytes:\n%s", i, statuses[i], bodies[i], want)
+		}
+	}
+	if answered < 2 {
+		t.Fatalf("%d of %d concurrent duplicates answered 200: nothing collapsed", answered, n)
+	}
+	if got := w.Service.Registry().Snapshot().Int("session_applies") - applies; got != 1 {
+		t.Fatalf("%d concurrent duplicates applied %d times, want once", n, got)
 	}
 }
 

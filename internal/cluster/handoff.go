@@ -7,20 +7,17 @@ package cluster
 // and streams whatever gained a new owner to that owner: cache entries
 // in the canonical-entry wire format the peer-fill path uses (PUT
 // /internal/cache), sessions as their full op log over the session-log
-// wire replication uses (POST /internal/session/log). The new owner
-// stores the log and replays it on the session's first request, the
-// path failover already takes. The stream is rate-limited (HandoffRate),
+// wire replication uses (POST /internal/session/log). The new owner's
+// session store holds the log as a dormant session and replays it on
+// the session's first request, the path failover already takes; a
+// former owner still holding the session live retires that copy when
+// the newer log arrives. The stream is rate-limited (HandoffRate),
 // gets one retry round over its failures (resumable: a push that missed
 // is re-attempted before the round is declared done), and runs under
 // the regcoal_handoff_* counter family. While it streams, the old view
 // stays installed as a read fallback (Worker.prev) for HandoffWindow,
 // so a request that reaches the new owner before its entry does falls
 // back to the old owner instead of re-solving — no cold cache.
-//
-// Sessions additionally migrate on LRU eviction: the evicted primary
-// re-ships the op log to the hash's current replica set (see
-// onSessionEvict), so the session survives as rebuildable state
-// wherever the ring now points.
 
 import (
 	"time"
@@ -73,7 +70,7 @@ func (w *Worker) runHandoff(old, next *TopologyView) {
 			pending = append(pending, handoffPush{peer: peer, key: key})
 		}
 	}
-	for _, rec := range w.sessLogs.all() {
+	for _, rec := range w.svc.Sessions().Logs() {
 		for _, peer := range w.movedOwners(old, next, rec.BaseHash, r) {
 			pending = append(pending, handoffPush{peer: peer, rec: rec})
 		}
@@ -137,32 +134,4 @@ func (w *Worker) streamHandoff(pending []handoffPush, interval time.Duration) []
 		}
 	}
 	return failed
-}
-
-// onSessionEvict runs (via the store's evict hook) when LRU pressure
-// drops a live session: its op log is re-shipped to the hash's current
-// replica set so the session stays rebuildable at the same id even if
-// a reshard moved it since creation. Asynchronous — eviction happens
-// on a client request's critical path.
-func (w *Worker) onSessionEvict(id string) {
-	if w.topo == nil {
-		return
-	}
-	rec := w.sessLogs.get(id)
-	if rec == nil {
-		return
-	}
-	view := w.topo.View()
-	go func() {
-		for _, peer := range view.Ring.Replicas(rec.BaseHash, w.replicaCount()) {
-			if peer == w.cfg.Self {
-				continue
-			}
-			if err := w.shipLog(peer, rec); err != nil {
-				w.handoffErrors.Add(1)
-				continue
-			}
-			w.handoffSessions.Add(1)
-		}
-	}()
 }

@@ -155,7 +155,7 @@ func TestHostileBodiesAnswer400(t *testing.T) {
 				}
 			}
 		}
-		if err := s.ReplaySession("s-0", "", create, nil); err == nil || !strings.Contains(err.Error(), carries[10:len(carries)-2]) {
+		if err := replayLog(s, "s-0", "", create); err == nil || !strings.Contains(err.Error(), carries[10:len(carries)-2]) {
 			t.Errorf("replaying a create with %d vertices: %v", tc.n, err)
 		}
 	}

@@ -407,6 +407,7 @@ func TestReshardChurnDifferentialByteIdentical(t *testing.T) {
 		t.Fatal("no cache hits after reshard; handoff left every owner cold")
 	}
 	requireFormsForwarded(t, c)
+	requireCleanRebuilds(t, c)
 }
 
 // Kill a worker in the middle of its handoff window, with a fixed-seed

@@ -43,10 +43,10 @@ func setTraceHeader(req *http.Request, tr *obs.Trace) {
 //     member of its hash's replica set (PUT /internal/cache), so each of
 //     the R owners accumulates the cluster's working set no matter where
 //     traffic lands — read-your-writes holds on any replica.
-//   - Session replication: successful /v1/coalesce/delta ops are logged
-//     and pushed to the replica set of the session's base hash, so a
-//     secondary can rebuild a primary's session by deterministic replay
-//     (see replication.go).
+//   - Session replication: the record each successful /v1/coalesce/delta
+//     op adds to its session's op log is pushed to the replica set of
+//     the session's base hash, so a secondary can rebuild a primary's
+//     session by deterministic replay (see replication.go).
 type Worker struct {
 	svc    *service.Server
 	cfg    WorkerConfig
@@ -60,18 +60,14 @@ type Worker struct {
 	// so no request observes a cold cache while entries stream over.
 	prev atomic.Pointer[TopologyView]
 
-	sessLogs *sessionLogs
-
-	peerFills       atomic.Int64 // local misses answered from a peer's cache
-	peerMisses      atomic.Int64 // peer lookups that found nothing
-	peerErrors      atomic.Int64 // peer lookups/pushes that failed
-	peerPushes      atomic.Int64 // computed entries pushed to replica owners
-	replPushes      atomic.Int64 // session log records replicated to peers
-	replFailures    atomic.Int64 // ...that failed
-	logGaps         atomic.Int64 // session log records that did not extend a log contiguously
-	rebuilds        atomic.Int64 // sessions rebuilt from a replicated log
-	rebuildFailures atomic.Int64 // ...that failed to replay
-	laneRejects     [2]atomic.Int64
+	peerFills    atomic.Int64 // local misses answered from a peer's cache
+	peerMisses   atomic.Int64 // peer lookups that found nothing
+	peerErrors   atomic.Int64 // peer lookups/pushes that failed
+	peerPushes   atomic.Int64 // computed entries pushed to replica owners
+	replPushes   atomic.Int64 // session log records replicated to peers
+	replFailures atomic.Int64 // ...that failed
+	logGaps      atomic.Int64 // received session log records that did not extend a log contiguously
+	laneRejects  [2]atomic.Int64
 
 	epochRejects    atomic.Int64 // internal RPCs rejected 409 for a stale epoch
 	epochAdoptions  atomic.Int64 // topology views adopted (broadcast or 409 exchange)
@@ -129,19 +125,14 @@ func NewWorker(svc *service.Server, cfg WorkerConfig) (*Worker, error) {
 		}
 	}
 	w := &Worker{
-		svc:      svc,
-		cfg:      cfg,
-		adm:      NewAdmission(cfg.Admission),
-		client:   cfg.Client,
-		mux:      http.NewServeMux(),
-		sessLogs: newSessionLogs(svc.Config().MaxSessions),
+		svc:    svc,
+		cfg:    cfg,
+		adm:    NewAdmission(cfg.Admission),
+		client: cfg.Client,
+		mux:    http.NewServeMux(),
 	}
 	if cfg.Self != "" && len(cfg.Peers) > 0 {
 		w.topo = NewTopology(cfg.Peers, cfg.VNodes)
-		// LRU eviction is a migration trigger: an evicted session's op
-		// log is re-shipped so the session survives as rebuildable state
-		// on its current replica set even after a reshard moved it.
-		svc.Sessions().SetEvictHook(w.onSessionEvict)
 	}
 	if w.client == nil {
 		w.client = &http.Client{Timeout: 2 * time.Second}
@@ -167,18 +158,16 @@ func (w *Worker) declareMetrics(r *obs.Registry) {
 	r.Counter("regcoal_cluster_peer_errors_total", "Failed peer cache lookups or pushes.", w.peerErrors.Load)
 	r.Counter("regcoal_session_repl_pushes_total", "Session op-log records replicated to peers.", w.replPushes.Load)
 	r.Counter("regcoal_session_repl_failures_total", "Session op-log replication pushes that failed.", w.replFailures.Load)
-	r.Counter("regcoal_session_log_gaps_total", "Session op-log records, local or received, that did not extend a log contiguously.", w.logGaps.Load)
-	r.Counter("regcoal_session_rebuilds_total", "Sessions rebuilt from a replicated op log after failover.", w.rebuilds.Load)
-	r.Counter("regcoal_session_rebuild_failures_total", "Session rebuilds that failed to replay.", w.rebuildFailures.Load)
+	r.Counter("regcoal_session_log_gaps_total", "Session op-log records received that did not extend a log contiguously.", w.logGaps.Load)
 	r.Counter("regcoal_epoch_rejects_total", "Internal RPCs rejected 409 for a stale topology epoch.", w.epochRejects.Load)
 	r.Counter("regcoal_epoch_adoptions_total", "Topology views adopted from a broadcast or 409 exchange.", w.epochAdoptions.Load)
 	r.Counter("regcoal_handoff_entries_total", "Cache entries streamed to new owners during resharding.", w.handoffEntries.Load)
 	r.Counter("regcoal_handoff_bytes_total", "Serialized bytes of cache entries streamed during resharding.", w.handoffBytes.Load)
-	r.Counter("regcoal_handoff_sessions_total", "Session op logs shipped to new owners (reshard or eviction migration).", w.handoffSessions.Load)
+	r.Counter("regcoal_handoff_sessions_total", "Session op logs shipped to new owners during resharding.", w.handoffSessions.Load)
 	r.Counter("regcoal_handoff_errors_total", "Handoff pushes that failed after the retry round.", w.handoffErrors.Load)
 	r.Counter("regcoal_handoff_rounds_total", "Topology changes that ran a handoff stream.", w.handoffRounds.Load)
 	r.Gauge("regcoal_handoff_active", "Handoff streams currently running.", w.handoffActive.Load)
-	r.Gauge("regcoal_session_logs", "Session op logs held for rebuild or migration.", func() int64 { return int64(w.sessLogs.len()) })
+	r.Gauge("regcoal_session_logs", "Session op logs held, live or dormant, for rebuild or migration.", func() int64 { return int64(len(w.svc.Sessions().Logs())) })
 	if w.topo != nil {
 		r.Gauge("regcoal_topology_epoch", "Current cluster membership epoch.", func() int64 { return int64(w.topo.View().Epoch) })
 	}

@@ -21,6 +21,7 @@ import (
 	"regcoal/internal/graph"
 	"regcoal/internal/service"
 	"regcoal/internal/service/loadgen"
+	"regcoal/internal/session"
 )
 
 // fuzzMaxVertices caps the graphs the fuzzer may make either decoder
@@ -417,14 +418,25 @@ func TestOversizeGraphRefusedBeforeBuild(t *testing.T) {
 	if want := `{"results":[{"error":"graph has 1000000000 vertices, limit 200000"}]}`; string(got) != want {
 		t.Errorf("batch: %s, want %s", got, want)
 	}
-	err = s.ReplaySession("s-0", "", []byte(`{"op":"create","graph":{"vertices":1000000000,"k":2}}`), nil)
+	err = replayLog(s, "s-0", "", []byte(`{"op":"create","graph":{"vertices":1000000000,"k":2}}`))
 	if err == nil || !strings.Contains(err.Error(), "graph carries 1000000000 vertices, limit 200000") {
 		t.Errorf("replaying an oversize create: %v", err)
 	}
-	if err := small.ReplaySession("s-1", "", []byte(`{"op":"create","graph":{"vertices":150000,"k":2}}`), nil); err == nil ||
+	if err := replayLog(small, "s-1", "", []byte(`{"op":"create","graph":{"vertices":150000,"k":2}}`)); err == nil ||
 		!strings.Contains(err.Error(), "graph carries 150000 vertices, limit 1000") {
 		t.Errorf("replaying an over-cap create: %v", err)
 	}
+}
+
+// replayLog seeds session id on s from a create-only op log through the
+// session store's receive and first use, the path a replica's failover
+// takes, and returns the replay's error.
+func replayLog(s *service.Server, id, baseHash string, create []byte) error {
+	if _, err := s.Sessions().Receive(&session.ExportRecord{SessionID: id, BaseHash: baseHash, Create: create}); err != nil {
+		return err
+	}
+	_, err := s.Sessions().Get(id)
+	return err
 }
 
 // A session's op log replays its create body exactly as handleDelta
@@ -443,7 +455,7 @@ func TestReplayDecodesCreateLikeHandleDelta(t *testing.T) {
 	if err != nil || resp.StatusCode != http.StatusOK {
 		t.Fatalf("create: status %d, %v", resp.StatusCode, err)
 	}
-	if err := replica.ReplaySession(created.SessionID, "", []byte(body), nil); err != nil {
+	if err := replayLog(replica, created.SessionID, "", []byte(body)); err != nil {
 		t.Fatalf("replaying the create: %v", err)
 	}
 	want, err := primary.Sessions().Get(created.SessionID)

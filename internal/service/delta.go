@@ -168,13 +168,13 @@ func (s *Server) handleDelta(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
+	// A tier replicates each session's op log: the create body starts
+	// it, and the store returns the record each op added, to ship.
 	var resp *DeltaResponse
+	var rec *session.ExportRecord
 	switch req.Op {
 	case "create":
-		k := f.K
-		if req.K > 0 {
-			k = req.K
-		}
+		k := createK(&req, f)
 		// The base hash is computed exactly like RoutingHash so that the
 		// cluster router's key for the create body and for subsequent
 		// delta bodies (which echo it) land on the same shard; a form the
@@ -182,8 +182,12 @@ func (s *Server) handleDelta(w http.ResponseWriter, r *http.Request) {
 		tr.BeginPhase(obs.PhaseCanon)
 		baseHash := s.canonicalForm(&graph.File{G: f.G, K: k}, r.Header.Get(CanonHeader)).Hash
 		tr.EndPhase()
+		var logBody []byte
+		if s.tier != nil {
+			logBody = body
+		}
 		tr.BeginPhase(obs.PhaseRace)
-		sess, err := s.sessions.Create(f, k, baseHash)
+		sess, added, err := s.sessions.Create(f, k, baseHash, logBody)
 		tr.EndPhase()
 		if err != nil {
 			fail(err)
@@ -192,25 +196,12 @@ func (s *Server) handleDelta(w http.ResponseWriter, r *http.Request) {
 		sess.View(func(sol *session.Solve) {
 			resp = s.renderDeltaResponse(sess.ID(), sess.BaseHash(), sol)
 		})
+		rec = added
 
 	case "", "delta":
 		if req.SessionID == "" {
 			fail(badRequest("delta requires a session_id"))
 			return
-		}
-		s.ensureLive(req.SessionID)
-		if req.BaseHash != "" {
-			sess, err := s.sessions.Get(req.SessionID)
-			if err != nil {
-				fail(err)
-				return
-			}
-			if sess.BaseHash() != req.BaseHash {
-				s.sessions.Metrics().Conflicts.Add(1)
-				fail(&httpError{status: http.StatusConflict,
-					msg: "base_hash does not match the session's base graph"})
-				return
-			}
 		}
 		version := int64(-1)
 		if req.Version != nil {
@@ -221,7 +212,7 @@ func (s *Server) handleDelta(w http.ResponseWriter, r *http.Request) {
 			}
 		}
 		tr.BeginPhase(obs.PhaseRace)
-		out, err := s.sessions.Apply(req.SessionID, version, req.Deltas, func(sol *session.Solve) (any, error) {
+		out, added, err := s.sessions.Apply(req.SessionID, req.BaseHash, version, req.Deltas, body, func(sol *session.Solve) (any, error) {
 			return s.renderDeltaResponse(req.SessionID, req.BaseHash, sol), nil
 		})
 		tr.EndPhase()
@@ -229,19 +220,19 @@ func (s *Server) handleDelta(w http.ResponseWriter, r *http.Request) {
 			fail(err)
 			return
 		}
-		resp = out.(*DeltaResponse)
+		resp, rec = out.(*DeltaResponse), added
 
 	case "close":
 		if req.SessionID == "" {
 			fail(badRequest("close requires a session_id"))
 			return
 		}
-		s.ensureLive(req.SessionID)
-		if err := s.sessions.Close(req.SessionID); err != nil {
+		added, err := s.sessions.Close(req.SessionID)
+		if err != nil {
 			fail(err)
 			return
 		}
-		resp = &DeltaResponse{SessionID: req.SessionID, Closed: true}
+		resp, rec = &DeltaResponse{SessionID: req.SessionID, Closed: true}, added
 
 	default:
 		fail(badRequest("unknown op %q (want create, delta, close)", req.Op))
@@ -258,10 +249,10 @@ func (s *Server) handleDelta(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, `{"error":"encoding response"}`, http.StatusInternalServerError)
 		return
 	}
-	if s.tier != nil {
+	if s.tier != nil && rec != nil {
 		// Before answering: once the client has seen success, the op
 		// must already be recoverable elsewhere.
-		s.tier.SessionApplied(&req, body, resp)
+		s.tier.SessionLogged(rec)
 	}
 	if h := obs.BuildPhasesHeader(tr); h != "" {
 		w.Header().Set(PhasesHeader, h)
@@ -269,13 +260,25 @@ func (s *Server) handleDelta(w http.ResponseWriter, r *http.Request) {
 	s.writeRaw(w, http.StatusOK, data)
 }
 
-// ensureLive lets the tier rebuild a session that is not live here (a
-// failover onto a replica holding its op log) before an op addresses it.
-func (s *Server) ensureLive(id string) {
-	if s.tier == nil {
-		return
+// decodeCreate reads a create body into its base instance and register
+// count exactly as handleDelta reads it live: the session store replays
+// a dormant session's op log through it.
+func decodeCreate(body []byte, maxVertices int) (*graph.File, int, error) {
+	req, f, err := decodeDelta(body, maxVertices)
+	if err != nil {
+		return nil, 0, err
 	}
-	if _, err := s.sessions.Get(id); err != nil {
-		s.tier.SessionMissing(id)
+	if f == nil {
+		return nil, 0, errors.New("create log entry carries no graph")
 	}
+	return f, createK(&req, f), nil
+}
+
+// createK is a create's register count: the request's k, when
+// positive, overrides the graph's.
+func createK(req *DeltaRequest, f *graph.File) int {
+	if req.K > 0 {
+		return req.K
+	}
+	return f.K
 }

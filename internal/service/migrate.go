@@ -1,8 +1,8 @@
 package service
 
 // Service-side surface of the cluster's resharding protocol: cache key
-// enumeration for the handoff stream. Sessions migrate as their op log
-// and rebuild through ReplaySession.
+// enumeration for the handoff stream. Sessions migrate as their op log,
+// which the new owner's session store replays on first use.
 
 import "strings"
 

@@ -24,12 +24,14 @@ import (
 	"regcoal/internal/engine"
 	"regcoal/internal/graph"
 	"regcoal/internal/obs"
+	"regcoal/internal/session"
 )
 
 // Tier is the hook a distribution tier installs into the pipeline with
 // Server.SetTier (the cluster worker: peer fill, admission lanes,
 // push-on-compute and session replication). The service calls it at
-// five points; a Server without a tier behaves as a single node.
+// four points; a Server without a tier behaves as a single node and
+// keeps no session op logs.
 type Tier interface {
 	// Fill runs after a local cache miss and may seed the local cache
 	// from a peer (CacheSeed); it reports whether it did.
@@ -41,12 +43,11 @@ type Tier interface {
 	// Computed runs after the request led a fresh race whose answer
 	// entered the cache.
 	Computed(p *Prepared, tr *obs.Trace)
-	// SessionMissing runs before a delta or close op on a session that is
-	// not live here, so the tier can rebuild it.
-	SessionMissing(id string)
-	// SessionApplied runs after a session op succeeded, before its
-	// response is written; body is the verbatim request body.
-	SessionApplied(req *DeltaRequest, body []byte, resp *DeltaResponse)
+	// SessionLogged runs after a session op succeeded, before its
+	// response is written, with the record the op added to the
+	// session's op log: the full log on create, a one-delta suffix on
+	// delta, a close on close.
+	SessionLogged(rec *session.ExportRecord)
 }
 
 // SetTier installs t into the request pipeline. Call before serving.

@@ -99,8 +99,9 @@ type Config struct {
 	// MaxBatch bounds the graphs one batch request may carry (default
 	// 256).
 	MaxBatch int
-	// MaxSessions caps live delta-solve sessions (LRU eviction past it;
-	// default 256) and SessionTTL expires idle ones (default 15m).
+	// MaxSessions caps the delta-solve sessions held, live or dormant
+	// (a replica's op log), with LRU eviction past it (default 256), and
+	// SessionTTL expires idle ones (default 15m).
 	// SessionBudget bounds the incremental affected-region re-solve in
 	// vertices before falling back to a full fresh solve (default 16384).
 	MaxSessions   int
@@ -190,6 +191,9 @@ func New(cfg Config) (*Server, error) {
 			MaxSessions: cfg.MaxSessions,
 			TTL:         cfg.SessionTTL,
 			Solver:      session.SolverConfig{Budget: cfg.SessionBudget},
+			Decode: func(create []byte) (*graph.File, int, error) {
+				return decodeCreate(create, cfg.MaxVertices)
+			},
 		}),
 	}
 	s.declareMetrics()

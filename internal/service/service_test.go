@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"regcoal/internal/obs"
+	"regcoal/internal/session"
 )
 
 func newTestServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
@@ -130,10 +131,9 @@ func (g *gatedTier) Fill(*Prepared, *obs.Trace) bool {
 	}
 	return false
 }
-func (g *gatedTier) Admit(*Prepared) (func(), error)                      { return func() {}, nil }
-func (g *gatedTier) Computed(*Prepared, *obs.Trace)                       { g.computed.Add(1) }
-func (g *gatedTier) SessionMissing(string)                                {}
-func (g *gatedTier) SessionApplied(*DeltaRequest, []byte, *DeltaResponse) {}
+func (g *gatedTier) Admit(*Prepared) (func(), error)     { return func() {}, nil }
+func (g *gatedTier) Computed(*Prepared, *obs.Trace)      { g.computed.Add(1) }
+func (g *gatedTier) SessionLogged(*session.ExportRecord) {}
 
 // A request whose lookup and fill miss, but whose singleflight starts
 // after an identical request's flight has cached the answer, answers

@@ -6,8 +6,9 @@ package session
 // request bodies — so keeping a session alive on another cluster node
 // means shipping exactly that. Validate checks a record's structure, and
 // Extend is the one append rule every holder of a log applies, so a log
-// never holds a gap. Replay is the service layer's job
-// (service.ReplaySession), which owns the request decode.
+// never holds a gap. The Store keeps each session's log with the
+// session itself and replays a received one, through the request
+// decoder the service hands it, on first use.
 
 import (
 	"bytes"

@@ -27,6 +27,10 @@ type Metrics struct {
 	PathFresh       atomic.Int64
 
 	ChordalWins atomic.Int64 // components won by the chordal-inc member
+
+	Rebuilds          atomic.Int64 // dormant sessions replayed from their op log
+	RebuildFailures   atomic.Int64 // ...whose log failed to replay
+	RebuildDivergence atomic.Int64 // ...whose replay ended at a version other than the log's
 }
 
 // Declare declares the session families into r.
@@ -46,5 +50,8 @@ func (m *Metrics) Declare(r *obs.Registry) {
 		emit("fresh", m.PathFresh.Load())
 	})
 	r.Counter("regcoal_session_chordal_wins_total", "Components whose best answer came from the chordal-inc member.", m.ChordalWins.Load)
-	r.Gauge("regcoal_session_active", "Delta sessions currently alive.", m.Active.Load)
+	r.Counter("regcoal_session_rebuilds_total", "Dormant sessions rebuilt by replaying their replicated op log.", m.Rebuilds.Load)
+	r.Counter("regcoal_session_rebuild_failures_total", "Session rebuilds that failed to replay; the log is dropped.", m.RebuildFailures.Load)
+	r.Counter("regcoal_session_rebuild_divergence_total", "Session rebuilds whose replay ended at a version other than its log's; the log is dropped.", m.RebuildDivergence.Load)
+	r.Gauge("regcoal_session_active", "Delta sessions held, live or dormant (a replica's op log awaiting its first use).", m.Active.Load)
 }

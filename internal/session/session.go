@@ -3,7 +3,6 @@ package session
 import (
 	"net/http"
 	"sync"
-	"time"
 
 	"regcoal/internal/graph"
 )
@@ -117,9 +116,6 @@ type Session struct {
 
 	tmp  []graph.V // apply-time neighbor copy scratch
 	nbuf []graph.V // resolve-time NeighborsInto scratch (caller holds mu)
-
-	// lastUse is managed by the Store under its own lock.
-	lastUse time.Time
 }
 
 // New builds a session over base instance f: the interference graph is

@@ -160,11 +160,11 @@ func TestStoreLRUAndTTL(t *testing.T) {
 	now := time.Unix(1000, 0)
 	st := NewStore(StoreConfig{MaxSessions: 2, TTL: time.Minute,
 		now: func() time.Time { return now }})
-	a, err := st.Create(base4(t), 0, "ha")
+	a, _, err := st.Create(base4(t), 0, "ha", nil)
 	if err != nil {
 		t.Fatalf("create a: %v", err)
 	}
-	b, err := st.Create(base4(t), 0, "hb")
+	b, _, err := st.Create(base4(t), 0, "hb", nil)
 	if err != nil {
 		t.Fatalf("create b: %v", err)
 	}
@@ -172,7 +172,7 @@ func TestStoreLRUAndTTL(t *testing.T) {
 	if _, err := st.Get(a.ID()); err != nil {
 		t.Fatalf("get a: %v", err)
 	}
-	c, err := st.Create(base4(t), 0, "hc")
+	c, _, err := st.Create(base4(t), 0, "hc", nil)
 	if err != nil {
 		t.Fatalf("create c: %v", err)
 	}
@@ -190,8 +190,8 @@ func TestStoreLRUAndTTL(t *testing.T) {
 	if _, err := st.Get(c.ID()); err == nil {
 		t.Fatalf("c survived TTL")
 	}
-	if st.Len() != 0 {
-		t.Fatalf("len=%d after expiry", st.Len())
+	if st.Metrics().Active.Load() != 0 {
+		t.Fatalf("len=%d after expiry", st.Metrics().Active.Load())
 	}
 }
 
