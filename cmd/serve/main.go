@@ -28,11 +28,15 @@
 //	serve -cluster -role router -addr :8080 \
 //	      -peers http://10.0.0.1:8081,http://10.0.0.2:8081
 //
-// A worker embeds the full single-node service plus the tiered cache
-// (peer fill from the shard that owns a canonical hash) and two-lane
-// admission control. A router holds no solver state: it shards requests
-// across -peers by canonical graph hash and splices /v1/batch fan-outs
-// back together byte-identically.
+// A worker requires -self, its own URL as it appears in -peers (or, with
+// -join, as the router will list it); without it serve exits with status
+// 1. Every node builds the same consistent-hash ring from the peer list,
+// so the ring's virtual-node count is fixed, not a flag. A worker embeds
+// the full single-node service plus the tiered cache (peer fill from the
+// shard that owns a canonical hash) and two-lane admission control. A
+// router holds no solver state: it shards requests across -peers by
+// canonical graph hash and splices /v1/batch fan-outs back together
+// byte-identically.
 package main
 
 import (
@@ -60,7 +64,6 @@ func main() {
 		workers     = flag.Int("workers", 0, "worker pool size (0 = GOMAXPROCS)")
 		queue       = flag.Int("queue", 0, "bounded submission queue; full = 429 (0 = 4×workers)")
 		cacheCap    = flag.Int("cache", 4096, "result cache capacity in entries (negative disables)")
-		cacheShards = flag.Int("cache-shards", 16, "result cache shard count")
 		deadline    = flag.Duration("deadline", 2*time.Second, "default per-request strategy-race deadline")
 		maxDeadline = flag.Duration("max-deadline", 30*time.Second, "upper clamp on requested deadlines")
 		portfolio   = flag.String("portfolio", "", "comma-separated default coalescing portfolio (empty = built-in)")
@@ -70,8 +73,7 @@ func main() {
 		clusterOn = flag.Bool("cluster", false, "run as a cluster node (see -role, -peers, -self)")
 		role      = flag.String("role", "worker", "cluster role: worker or router (with -cluster)")
 		peers     = flag.String("peers", "", "comma-separated worker base URLs (the shard set; same list on every node)")
-		self      = flag.String("self", "", "this worker's base URL as it appears in -peers (worker role)")
-		vnodes    = flag.Int("vnodes", cluster.DefaultVNodes, "virtual nodes per worker on the consistent-hash ring")
+		self      = flag.String("self", "", "this worker's base URL as it appears in -peers (worker role; required)")
 		replicas  = flag.Int("replicas", cluster.DefaultReplicas, "replica-set size R: workers owning each hash range (same value on every node)")
 
 		joinURL     = flag.String("join", "", "worker: router base URL to announce this node to at startup (live join) and to leave on shutdown")
@@ -94,15 +96,25 @@ func main() {
 		log.Printf("serve: fault injection armed from %s (seed %d, %d rules)", *faultPlan, p.Seed, len(p.Rules))
 	}
 	if *clusterOn && *role == "router" {
-		runRouter(*addr, peerList, *vnodes, *replicas, *retryBudget, *hedgeAfter, *grace, plan)
+		runRouter(*addr, peerList, *replicas, *retryBudget, *hedgeAfter, *grace, plan)
 		return
+	}
+	if *clusterOn && *role != "worker" {
+		fmt.Fprintf(os.Stderr, "serve: unknown -role %q (want worker or router)\n", *role)
+		os.Exit(1)
+	}
+	if *clusterOn && *self == "" {
+		// Without its own URL a worker can neither find its ranges on the
+		// ring nor replicate: it would serve as a lone node while the
+		// router still sends it a shard.
+		fmt.Fprintln(os.Stderr, "serve: -cluster -role worker requires -self")
+		os.Exit(1)
 	}
 
 	cfg := service.Config{
 		Workers:         *workers,
 		QueueCap:        *queue,
 		CacheCapacity:   *cacheCap,
-		CacheShards:     *cacheShards,
 		DefaultDeadline: *deadline,
 		MaxDeadline:     *maxDeadline,
 	}
@@ -118,11 +130,7 @@ func main() {
 	var handler http.Handler = svc.Handler()
 	var clusterWorker *cluster.Worker
 	if *clusterOn {
-		if *role != "worker" {
-			fmt.Fprintf(os.Stderr, "serve: unknown -role %q (want worker or router)\n", *role)
-			os.Exit(1)
-		}
-		if *joinURL != "" && *self != "" && !contains(peerList, *self) {
+		if *joinURL != "" && !contains(peerList, *self) {
 			// Joining an existing ring: the node set is -peers plus this
 			// node. The router's broadcast (or the first stale-epoch 409)
 			// overwrites this provisional view with the cluster's real one.
@@ -131,7 +139,6 @@ func main() {
 		wcfg := cluster.WorkerConfig{
 			Self:        *self,
 			Peers:       peerList,
-			VNodes:      *vnodes,
 			Replicas:    *replicas,
 			HandoffRate: *handoffRate,
 		}
@@ -244,10 +251,9 @@ func main() {
 
 // runRouter serves the stateless sharding tier: no solver, no pool — just
 // the consistent-hash proxy over the worker set.
-func runRouter(addr string, workerURLs []string, vnodes, replicas, retryBudget int, hedgeAfter, grace time.Duration, plan *faultinject.Plan) {
+func runRouter(addr string, workerURLs []string, replicas, retryBudget int, hedgeAfter, grace time.Duration, plan *faultinject.Plan) {
 	rcfg := cluster.RouterConfig{
 		Workers:     workerURLs,
-		VNodes:      vnodes,
 		Replicas:    replicas,
 		RetryBudget: retryBudget,
 		HedgeAfter:  hedgeAfter,

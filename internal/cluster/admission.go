@@ -2,6 +2,10 @@ package cluster
 
 import "runtime"
 
+// heavyScore classifies an instance heavy when vertices × density
+// reaches it: e.g. 2048 vertices at 25% density.
+const heavyScore = 512
+
 // Admission is the worker's two-lane admission controller. Instances are
 // classified by size class — vertex count and edge density — into a fast
 // lane (small/sparse graphs whose portfolio race finishes in microseconds
@@ -18,35 +22,23 @@ type Admission struct {
 	heavy chan struct{}
 }
 
-// AdmissionConfig parameterizes the lanes. Zero values take defaults.
+// AdmissionConfig parameterizes the heavy lane. Zero values take
+// defaults.
 type AdmissionConfig struct {
-	// FastSlots bounds concurrently admitted fast-lane solves (default
-	// 8 × GOMAXPROCS: fast instances mostly wait in the pool queue, so the
-	// lane is wide and the pool's own 429 backstop still applies).
-	FastSlots int
 	// HeavySlots bounds concurrently admitted heavy-lane solves (default
 	// 2): at most this many expensive races occupy the pool at once.
 	HeavySlots int
 	// HeavyVertices classifies an instance heavy by size alone (default
 	// 20000 vertices).
 	HeavyVertices int
-	// HeavyScore classifies an instance heavy when vertices × density
-	// reaches it (default 512 — e.g. 2048 vertices at 25% density).
-	HeavyScore float64
 }
 
 func (c *AdmissionConfig) fillDefaults() {
-	if c.FastSlots <= 0 {
-		c.FastSlots = 8 * runtime.GOMAXPROCS(0)
-	}
 	if c.HeavySlots <= 0 {
 		c.HeavySlots = 2
 	}
 	if c.HeavyVertices <= 0 {
 		c.HeavyVertices = 20000
-	}
-	if c.HeavyScore <= 0 {
-		c.HeavyScore = 512
 	}
 }
 
@@ -65,19 +57,21 @@ func (l Lane) String() string {
 	return "fast"
 }
 
-// NewAdmission builds the controller.
+// NewAdmission builds the controller. The fast lane admits 8 ×
+// GOMAXPROCS solves: fast instances mostly wait in the pool queue, so the
+// lane is wide and the pool's own 429 backstop still applies.
 func NewAdmission(cfg AdmissionConfig) *Admission {
 	cfg.fillDefaults()
 	return &Admission{
 		cfg:   cfg,
-		fast:  make(chan struct{}, cfg.FastSlots),
+		fast:  make(chan struct{}, 8*runtime.GOMAXPROCS(0)),
 		heavy: make(chan struct{}, cfg.HeavySlots),
 	}
 }
 
 // Classify buckets an instance by size class.
 func (a *Admission) Classify(vertices int, density float64) Lane {
-	if vertices >= a.cfg.HeavyVertices || float64(vertices)*density >= a.cfg.HeavyScore {
+	if vertices >= a.cfg.HeavyVertices || float64(vertices)*density >= heavyScore {
 		return LaneHeavy
 	}
 	return LaneFast
@@ -99,9 +93,6 @@ func (a *Admission) Release(l Lane) { <-a.lane(l) }
 
 // Depth reports the lane's current occupancy.
 func (a *Admission) Depth(l Lane) int { return len(a.lane(l)) }
-
-// Slots reports the lane's capacity.
-func (a *Admission) Slots(l Lane) int { return cap(a.lane(l)) }
 
 func (a *Admission) lane(l Lane) chan struct{} {
 	if l == LaneHeavy {

@@ -380,6 +380,20 @@ func TestBadRequestsMatchSingleNode(t *testing.T) {
 	}
 }
 
+// A worker given peers but not its own URL is refused: it could neither
+// find its ranges nor replicate, and would serve as a lone node while
+// the router still sent it a shard.
+func TestNewWorkerRefusesPeersWithoutSelf(t *testing.T) {
+	svc, err := service.New(service.Config{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svc.Close()
+	if _, err := cluster.NewWorker(svc, cluster.WorkerConfig{Peers: []string{"http://w0", "http://w1"}}); err == nil {
+		t.Fatal("NewWorker accepted Peers without Self")
+	}
+}
+
 // The singleflight acceptance test: 64 concurrent identical requests
 // through the router produce exactly one portfolio race cluster-wide and
 // 64 byte-identical responses. The instance is a dense branch-and-bound

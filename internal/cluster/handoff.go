@@ -15,7 +15,7 @@ package cluster
 // gets one retry round over its failures (resumable: a push that missed
 // is re-attempted before the round is declared done), and runs under
 // the regcoal_handoff_* counter family. While it streams, the old view
-// stays installed as a read fallback (Worker.prev) for HandoffWindow,
+// stays installed as a read fallback (Worker.prev) for handoffWindow,
 // so a request that reaches the new owner before its entry does falls
 // back to the old owner instead of re-solving — no cold cache.
 
@@ -25,6 +25,11 @@ import (
 	"regcoal/internal/service"
 	"regcoal/internal/session"
 )
+
+// handoffWindow is how long after adopting a new topology the old view
+// remains a read fallback: a miss on the new owners retries the old ones
+// while entries are still streaming.
+const handoffWindow = 5 * time.Second
 
 // handoffPush is one pending unit of the stream: a cache entry key or a
 // session's full op log, destined for one new owner.
@@ -39,11 +44,7 @@ type handoffPush struct {
 // freshly installed views under no locks.
 func (w *Worker) startHandoff(old, next *TopologyView) {
 	w.prev.Store(old)
-	window := w.cfg.HandoffWindow
-	if window <= 0 {
-		window = 5 * time.Second
-	}
-	time.AfterFunc(window, func() {
+	time.AfterFunc(handoffWindow, func() {
 		// Clear only our own fallback: a later reshard's window must
 		// not be cut short by this one's timer.
 		w.prev.CompareAndSwap(old, nil)

@@ -100,9 +100,6 @@ func StartInProcess(n int, opts InProcessOptions) (*InProcess, error) {
 	rcfg.Workers = urls
 	rcfg.MaxVertices = firstPositive(rcfg.MaxVertices, c.Workers[0].Service.Config().MaxVertices)
 	rcfg.MaxBatch = firstPositive(rcfg.MaxBatch, c.Workers[0].Service.Config().MaxBatch)
-	if rcfg.VNodes == 0 {
-		rcfg.VNodes = opts.Worker.VNodes
-	}
 	if rcfg.Replicas == 0 {
 		rcfg.Replicas = opts.Worker.Replicas
 	}

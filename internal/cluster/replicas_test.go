@@ -26,15 +26,15 @@ func TestReplicaSetProperties(t *testing.T) {
 		for i := range nodes {
 			nodes[i] = fmt.Sprintf("http://node-%d-%d:8080", trial, i)
 		}
-		ring := cluster.NewRing(nodes, 0)
+		ring := cluster.NewRing(nodes)
 
 		shuffled := append([]string(nil), nodes...)
 		rng.Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
-		ringShuffled := cluster.NewRing(shuffled, 0)
+		ringShuffled := cluster.NewRing(shuffled)
 
 		victim := nodes[rng.Intn(n)]
 		remaining := slices.DeleteFunc(append([]string(nil), nodes...), func(s string) bool { return s == victim })
-		ringWithout := cluster.NewRing(remaining, 0)
+		ringWithout := cluster.NewRing(remaining)
 
 		for k := 0; k < 64; k++ {
 			key := fmt.Sprintf("key-%d-%d", trial, k)

@@ -23,6 +23,7 @@ import (
 	"fmt"
 	"net/http"
 
+	"regcoal/internal/service"
 	"regcoal/internal/session"
 )
 
@@ -112,7 +113,7 @@ func (w *Worker) handleSessionLog(rw http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var rec session.ExportRecord
-	dec := json.NewDecoder(http.MaxBytesReader(rw, r.Body, w.svc.Config().MaxBodyBytes))
+	dec := json.NewDecoder(http.MaxBytesReader(rw, r.Body, service.MaxBodyBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&rec); err != nil {
 		w.writeError(rw, http.StatusBadRequest, fmt.Sprintf("decoding log record: %v", err))

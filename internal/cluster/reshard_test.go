@@ -174,7 +174,7 @@ func TestReadinessCacheInvalidatedOnEpochChange(t *testing.T) {
 }
 
 func TestRingNodesReturnsCopy(t *testing.T) {
-	ring := cluster.NewRing([]string{"http://a", "http://b"}, 0)
+	ring := cluster.NewRing([]string{"http://a", "http://b"})
 	nodes := ring.Nodes()
 	nodes[0] = "http://mutated"
 	if again := ring.Nodes(); again[0] != "http://a" {

@@ -7,7 +7,7 @@ import (
 )
 
 // Ring is a consistent-hash ring over a fixed node set. Each node owns
-// VNodes points on a 64-bit FNV-1a circle; a key belongs to the node
+// vnodes points on a 64-bit FNV-1a circle; a key belongs to the node
 // owning the first point at or after the key's hash. The ring is built
 // deterministically from the sorted node set, so every cluster member —
 // router and workers alike — computes identical ownership from the same
@@ -26,17 +26,14 @@ type ringPoint struct {
 	node int // index into nodes
 }
 
-// DefaultVNodes is the virtual-node count used when a config leaves it
-// zero: enough points that a 3–8 node ring balances within a few percent.
-const DefaultVNodes = 64
+// vnodes is the virtual-node count per node: enough points that a 3–8
+// node ring balances within a few percent. Every router and worker must
+// build the same ring, so it is not configurable.
+const vnodes = 64
 
 // NewRing builds a ring over the given nodes (deduplicated, sorted
-// internally). vnodes <= 0 uses DefaultVNodes. An empty node set yields a
-// ring whose Owner is "".
-func NewRing(nodes []string, vnodes int) *Ring {
-	if vnodes <= 0 {
-		vnodes = DefaultVNodes
-	}
+// internally). An empty node set yields a ring whose Owner is "".
+func NewRing(nodes []string) *Ring {
 	uniq := make([]string, 0, len(nodes))
 	seen := make(map[string]bool, len(nodes))
 	for _, n := range nodes {

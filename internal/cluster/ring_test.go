@@ -1,8 +1,12 @@
 package cluster
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"fmt"
 	"math/rand"
+	"strconv"
+	"strings"
 	"testing"
 
 	"regcoal/internal/corpus"
@@ -13,8 +17,8 @@ import (
 func TestRingDeterministicAcrossNodeOrder(t *testing.T) {
 	nodes := []string{"http://c:1", "http://a:1", "http://b:1"}
 	shuffled := []string{"http://b:1", "http://c:1", "http://a:1"}
-	r1 := NewRing(nodes, 64)
-	r2 := NewRing(shuffled, 64)
+	r1 := NewRing(nodes)
+	r2 := NewRing(shuffled)
 	for i := 0; i < 200; i++ {
 		key := fmt.Sprintf("key-%d", i)
 		if r1.Owner(key) != r2.Owner(key) {
@@ -39,7 +43,7 @@ func TestRingDeterministicAcrossNodeOrder(t *testing.T) {
 
 func TestRingBalance(t *testing.T) {
 	nodes := []string{"http://a:1", "http://b:1", "http://c:1"}
-	r := NewRing(nodes, 0) // default vnodes
+	r := NewRing(nodes)
 	counts := map[string]int{}
 	const keys = 3000
 	for i := 0; i < keys; i++ {
@@ -53,7 +57,7 @@ func TestRingBalance(t *testing.T) {
 }
 
 func TestRingFallbackKeyDeterministic(t *testing.T) {
-	r := NewRing([]string{"http://a:1", "http://b:1"}, 64)
+	r := NewRing([]string{"http://a:1", "http://b:1"})
 	owner := r.Owner("")
 	if owner == "" {
 		t.Fatal("empty-key owner is empty on a non-empty ring")
@@ -61,6 +65,44 @@ func TestRingFallbackKeyDeterministic(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		if r.Owner("") != owner {
 			t.Fatal("fallback owner not stable")
+		}
+	}
+}
+
+// placement pins where the ring puts keys on servebench's node set
+// (http://w0..w2): for the fallback key "" and then for the hex SHA-256
+// of "placement-0".."placement-63", the indices of Replicas(key, 2),
+// under 64 FNV-1a vnodes per node. A ring change that moves keys (and so
+// servebench's shard shares) must update it deliberately.
+var placement = []string{
+	"02",
+	"21", "21", "21", "02", "02", "01", "02", "10",
+	"10", "21", "21", "01", "21", "21", "02", "21",
+	"01", "10", "02", "21", "21", "01", "02", "02",
+	"02", "21", "10", "02", "10", "02", "21", "21",
+	"10", "10", "10", "02", "02", "12", "01", "10",
+	"02", "02", "10", "10", "21", "02", "21", "10",
+	"10", "10", "01", "21", "10", "10", "12", "02",
+	"02", "10", "02", "21", "10", "01", "10", "01",
+}
+
+func TestRingPlacementPinned(t *testing.T) {
+	nodes := []string{"http://w0", "http://w1", "http://w2"}
+	r := NewRing(nodes)
+	keys := []string{""}
+	for i := 0; i < 64; i++ {
+		sum := sha256.Sum256([]byte("placement-" + strconv.Itoa(i)))
+		keys = append(keys, hex.EncodeToString(sum[:]))
+	}
+	for i, key := range keys {
+		want := placement[i]
+		reps := r.Replicas(key, 2)
+		got := ""
+		for _, n := range reps {
+			got += strings.TrimPrefix(n, "http://w")
+		}
+		if got != want || r.Owner(key) != nodes[want[0]-'0'] {
+			t.Errorf("key %d (%q): owner %s, replicas %v; want replicas w%c,w%c", i, key, r.Owner(key), reps, want[0], want[1])
 		}
 	}
 }
@@ -118,7 +160,7 @@ func TestRelabeledDuplicatesRouteToSameShard(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ring := NewRing([]string{"http://w0:1", "http://w1:1", "http://w2:1"}, 0)
+	ring := NewRing([]string{"http://w0:1", "http://w1:1", "http://w2:1"})
 	rng := rand.New(rand.NewSource(7))
 	invariantFamilies := map[string]bool{}
 	for _, inst := range insts {

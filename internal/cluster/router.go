@@ -97,17 +97,13 @@ type readyState struct {
 type RouterConfig struct {
 	// Workers lists the worker base URLs (http://host:port).
 	Workers []string
-	// VNodes is the ring's virtual-node count (default DefaultVNodes).
-	// Must match the workers'.
-	VNodes int
 	// MaxVertices mirrors the workers' service MaxVertices (default
-	// 200000): oversize graphs route to the fallback shard for the
-	// worker's own 400.
+	// service.DefaultMaxVertices): oversize graphs route to the fallback
+	// shard for the worker's own 400.
 	MaxVertices int
-	// MaxBatch mirrors the workers' service MaxBatch (default 256).
+	// MaxBatch mirrors the workers' service MaxBatch (default
+	// service.DefaultMaxBatch).
 	MaxBatch int
-	// MaxBodyBytes bounds a request body (default 64 MiB).
-	MaxBodyBytes int64
 	// Client performs worker traffic (default 60s timeout).
 	Client *http.Client
 	// ReadyTTL caches worker readiness probes (default 500ms).
@@ -124,21 +120,21 @@ type RouterConfig struct {
 	// duplicates compute on a second shard, which perturbs cluster-wide
 	// solve counts that several differential tests pin down).
 	HedgeAfter time.Duration
-	// BackoffBase and BackoffCap bound the jittered exponential backoff
-	// between retry attempts (defaults 10ms and 200ms).
-	BackoffBase time.Duration
-	BackoffCap  time.Duration
 }
+
+// backoffBase and backoffCap bound the jittered exponential backoff
+// between retry attempts.
+const (
+	backoffBase = 10 * time.Millisecond
+	backoffCap  = 200 * time.Millisecond
+)
 
 func (c *RouterConfig) fillDefaults() {
 	if c.MaxVertices <= 0 {
-		c.MaxVertices = 200000
+		c.MaxVertices = service.DefaultMaxVertices
 	}
 	if c.MaxBatch <= 0 {
-		c.MaxBatch = 256
-	}
-	if c.MaxBodyBytes <= 0 {
-		c.MaxBodyBytes = 64 << 20
+		c.MaxBatch = service.DefaultMaxBatch
 	}
 	if c.ReadyTTL <= 0 {
 		c.ReadyTTL = 500 * time.Millisecond
@@ -148,12 +144,6 @@ func (c *RouterConfig) fillDefaults() {
 	}
 	if c.RetryBudget <= 0 {
 		c.RetryBudget = 3
-	}
-	if c.BackoffBase <= 0 {
-		c.BackoffBase = 10 * time.Millisecond
-	}
-	if c.BackoffCap <= 0 {
-		c.BackoffCap = 200 * time.Millisecond
 	}
 }
 
@@ -169,7 +159,7 @@ func NewRouter(cfg RouterConfig) (*Router, error) {
 	}
 	r := &Router{
 		cfg:     cfg,
-		topo:    NewTopology(cfg.Workers, cfg.VNodes),
+		topo:    NewTopology(cfg.Workers),
 		client:  cfg.Client,
 		mux:     http.NewServeMux(),
 		ids:     obs.NewTracer(1, 1, time.Hour),
@@ -220,7 +210,7 @@ func (r *Router) handleTopology(rw http.ResponseWriter, req *http.Request) {
 		r.writeJSON(rw, http.StatusOK, r.topo.View().Wire())
 	case http.MethodPost:
 		var upd topologyUpdate
-		dec := json.NewDecoder(http.MaxBytesReader(rw, req.Body, r.cfg.MaxBodyBytes))
+		dec := json.NewDecoder(http.MaxBytesReader(rw, req.Body, service.MaxBodyBytes))
 		dec.DisallowUnknownFields()
 		if err := dec.Decode(&upd); err != nil {
 			r.writeError(rw, http.StatusBadRequest, fmt.Sprintf("decoding topology update: %v", err))
@@ -320,7 +310,7 @@ func (r *Router) handleProxy(rw http.ResponseWriter, req *http.Request) {
 	r.proxied.Add(1)
 	traceID := r.traceID(req)
 	rw.Header().Set(service.TraceIDHeader, traceID)
-	body, err := io.ReadAll(http.MaxBytesReader(rw, req.Body, r.cfg.MaxBodyBytes))
+	body, err := io.ReadAll(http.MaxBytesReader(rw, req.Body, service.MaxBodyBytes))
 	if err != nil {
 		r.writeError(rw, http.StatusBadRequest, fmt.Sprintf("reading request: %v", err))
 		return
@@ -356,7 +346,7 @@ func (r *Router) handleDelta(rw http.ResponseWriter, req *http.Request) {
 	r.proxied.Add(1)
 	traceID := r.traceID(req)
 	rw.Header().Set(service.TraceIDHeader, traceID)
-	body, err := io.ReadAll(http.MaxBytesReader(rw, req.Body, r.cfg.MaxBodyBytes))
+	body, err := io.ReadAll(http.MaxBytesReader(rw, req.Body, service.MaxBodyBytes))
 	if err != nil {
 		r.writeError(rw, http.StatusBadRequest, fmt.Sprintf("reading request: %v", err))
 		return
@@ -549,15 +539,15 @@ func (r *Router) forwardTo(path, key, form string, body []byte, traceID string, 
 }
 
 // backoff returns the pre-retry wait after `attempt` launched attempts:
-// BackoffBase doubling per attempt, capped at BackoffCap, with the
+// backoffBase doubling per attempt, capped at backoffCap, with the
 // upper half jittered to decorrelate concurrent retry storms.
 func (r *Router) backoff(attempt int) time.Duration {
-	d := r.cfg.BackoffBase
-	for i := 1; i < attempt && d < r.cfg.BackoffCap; i++ {
+	d := backoffBase
+	for i := 1; i < attempt && d < backoffCap; i++ {
 		d *= 2
 	}
-	if d > r.cfg.BackoffCap {
-		d = r.cfg.BackoffCap
+	if d > backoffCap {
+		d = backoffCap
 	}
 	r.jitterMu.Lock()
 	j := time.Duration(r.jitter.Int63n(int64(d)/2 + 1))
@@ -672,7 +662,7 @@ func (r *Router) handleBatch(rw http.ResponseWriter, req *http.Request) {
 	r.batchRequests.Add(1)
 	traceID := r.traceID(req)
 	rw.Header().Set(service.TraceIDHeader, traceID)
-	body, err := io.ReadAll(http.MaxBytesReader(rw, req.Body, r.cfg.MaxBodyBytes))
+	body, err := io.ReadAll(http.MaxBytesReader(rw, req.Body, service.MaxBodyBytes))
 	if err != nil {
 		r.writeError(rw, http.StatusBadRequest, fmt.Sprintf("reading request: %v", err))
 		return

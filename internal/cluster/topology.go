@@ -45,15 +45,14 @@ type TopologyView struct {
 // take lock-free snapshots via View; writers serialize through mu so
 // epochs increase monotonically and CAS semantics hold.
 type Topology struct {
-	mu     sync.Mutex
-	cur    atomic.Pointer[TopologyView]
-	vnodes int
+	mu  sync.Mutex
+	cur atomic.Pointer[TopologyView]
 }
 
 // NewTopology builds a topology over the initial node set at epoch 1.
-func NewTopology(nodes []string, vnodes int) *Topology {
-	t := &Topology{vnodes: vnodes}
-	ring := NewRing(nodes, vnodes)
+func NewTopology(nodes []string) *Topology {
+	t := &Topology{}
+	ring := NewRing(nodes)
 	t.cur.Store(&TopologyView{Epoch: 1, Nodes: ring.Nodes(), Ring: ring})
 	return t
 }
@@ -75,7 +74,7 @@ func (t *Topology) CAS(fromEpoch uint64, nodes []string) (*TopologyView, error) 
 	if cur.Epoch != fromEpoch {
 		return cur, fmt.Errorf("topology: CAS from epoch %d, current is %d", fromEpoch, cur.Epoch)
 	}
-	ring := NewRing(nodes, t.vnodes)
+	ring := NewRing(nodes)
 	next := &TopologyView{Epoch: cur.Epoch + 1, Nodes: ring.Nodes(), Ring: ring}
 	t.cur.Store(next)
 	return next, nil
@@ -92,7 +91,7 @@ func (t *Topology) Adopt(epoch uint64, nodes []string) (old, installed *Topology
 	if epoch <= cur.Epoch {
 		return cur, cur, false
 	}
-	ring := NewRing(nodes, t.vnodes)
+	ring := NewRing(nodes)
 	next := &TopologyView{Epoch: epoch, Nodes: ring.Nodes(), Ring: ring}
 	t.cur.Store(next)
 	return cur, next, true

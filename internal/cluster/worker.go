@@ -83,15 +83,12 @@ type Worker struct {
 // URLs the router's config does.
 type WorkerConfig struct {
 	// Self is this worker's base URL as it appears in Peers (and in the
-	// router's worker list). Empty disables the tiered cache (single-node
-	// behavior).
+	// router's worker list). Empty, with no Peers, is single-node
+	// behavior: no tiered cache, no replication.
 	Self string
 	// Peers lists every worker's base URL, including Self.
 	Peers []string
-	// VNodes is the ring's virtual-node count (default DefaultVNodes).
-	// Must match the router's.
-	VNodes int
-	// Admission parameterizes the fast/heavy lanes.
+	// Admission parameterizes the heavy admission lane.
 	Admission AdmissionConfig
 	// Client performs peer cache traffic (default 2s timeout).
 	Client *http.Client
@@ -103,15 +100,15 @@ type WorkerConfig struct {
 	// per second per topology change (0 = unlimited). Resharding trades
 	// warm caches for network burst; the rate keeps the burst bounded.
 	HandoffRate float64
-	// HandoffWindow is how long after adopting a new topology the old
-	// view remains a read fallback: a miss on the new owners retries the
-	// old ones while entries are still streaming (default 5s).
-	HandoffWindow time.Duration
 }
 
 // NewWorker makes svc a cluster shard, installing the worker as its
-// tier.
+// tier. Peers without Self is refused: the worker could neither find
+// its own ranges nor replicate, and would serve as a lone node.
 func NewWorker(svc *service.Server, cfg WorkerConfig) (*Worker, error) {
+	if cfg.Self == "" && len(cfg.Peers) > 0 {
+		return nil, fmt.Errorf("cluster: peer list %v given without self", cfg.Peers)
+	}
 	if cfg.Self != "" {
 		found := false
 		for _, p := range cfg.Peers {
@@ -131,8 +128,8 @@ func NewWorker(svc *service.Server, cfg WorkerConfig) (*Worker, error) {
 		client: cfg.Client,
 		mux:    http.NewServeMux(),
 	}
-	if cfg.Self != "" && len(cfg.Peers) > 0 {
-		w.topo = NewTopology(cfg.Peers, cfg.VNodes)
+	if cfg.Self != "" {
+		w.topo = NewTopology(cfg.Peers)
 	}
 	if w.client == nil {
 		w.client = &http.Client{Timeout: 2 * time.Second}
@@ -267,7 +264,7 @@ func (w *Worker) peerFillFrom(owner string, p *service.Prepared, tr *obs.Trace) 
 		io.Copy(io.Discard, resp.Body)
 		return false
 	}
-	data, err := io.ReadAll(io.LimitReader(resp.Body, 64<<20))
+	data, err := io.ReadAll(io.LimitReader(resp.Body, service.MaxBodyBytes))
 	if err != nil {
 		w.peerErrors.Add(1)
 		return false
@@ -357,7 +354,7 @@ func (w *Worker) handleInternalCache(rw http.ResponseWriter, r *http.Request) {
 		}
 		w.writeRaw(rw, http.StatusOK, data)
 	case http.MethodPut:
-		data, err := io.ReadAll(io.LimitReader(r.Body, 64<<20))
+		data, err := io.ReadAll(io.LimitReader(r.Body, service.MaxBodyBytes))
 		if err != nil {
 			w.writeError(rw, http.StatusBadRequest, "reading body")
 			return

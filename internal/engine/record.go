@@ -65,22 +65,6 @@ type Record struct {
 // Sink consumes records in Seq order as they become available.
 type Sink func(Record) error
 
-// MultiSink fans records out to several sinks, stopping at the first
-// error.
-func MultiSink(sinks ...Sink) Sink {
-	return func(r Record) error {
-		for _, s := range sinks {
-			if s == nil {
-				continue
-			}
-			if err := s(r); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-}
-
 // JSONLSink streams records to w as JSON Lines.
 func JSONLSink(w io.Writer) Sink {
 	enc := json.NewEncoder(w)
@@ -129,14 +113,6 @@ func CSVSink(w io.Writer) Sink {
 		}
 		cw.Flush()
 		return cw.Error()
-	}
-}
-
-// CollectSink appends records to *dst.
-func CollectSink(dst *[]Record) Sink {
-	return func(r Record) error {
-		*dst = append(*dst, r)
-		return nil
 	}
 }
 

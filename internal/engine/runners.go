@@ -3,7 +3,6 @@ package engine
 import (
 	"context"
 	"errors"
-	"fmt"
 
 	"regcoal/internal/coalesce"
 	"regcoal/internal/exact"
@@ -107,30 +106,18 @@ func IRCRunner() Runner {
 	}
 }
 
-// Exact-search feasibility envelope: branch and bound is 2^|A| over the
-// affinities with an exact-colorability check per leaf, so the runner
-// declines instances beyond these bounds instead of hanging the pool for
-// hours (the per-run timeout still guards the admitted ones).
-const (
-	exactMaxMoves    = 14
-	exactMaxVertices = 48
-)
-
 // ExactRunner evaluates optimal conservative coalescing (minimum
 // uncoalesced weight subject to the quotient staying greedy-k-colorable —
 // the paper's Theorem 3 objective over the class heuristics maintain) by
-// branch and bound, honoring ctx cancellation.
+// branch and bound, honoring ctx cancellation. It skips instances outside
+// exact.CheckEnvelope (the per-run timeout still guards the admitted ones).
 func ExactRunner() Runner {
 	return Runner{
 		Name: "exact",
 		Run: func(ctx context.Context, f *graph.File) (RunStats, error) {
 			g, k := f.G, f.K
-			if g.NumAffinities() > exactMaxMoves || g.N() > exactMaxVertices {
-				return RunStats{
-					Skipped: true,
-					SkipReason: fmt.Sprintf("instance outside exact envelope (moves %d > %d or vertices %d > %d)",
-						g.NumAffinities(), exactMaxMoves, g.N(), exactMaxVertices),
-				}, nil
+			if err := exact.CheckEnvelope(g); err != nil {
+				return RunStats{Skipped: true, SkipReason: err.Error()}, nil
 			}
 			res, err := exact.OptimalCoalescingCtx(ctx, g, k, exact.TargetGreedy, exact.MinimizeWeight)
 			if err != nil {

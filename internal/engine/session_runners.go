@@ -50,7 +50,7 @@ func SessionRunners() []Runner {
 			Name: "session-inc",
 			Run: func(ctx context.Context, f *graph.File) (RunStats, error) {
 				script := corpus.GenEditScript(f, 0, corpus.ScriptSeed(f), sessionScriptSteps)
-				s, err := session.New("engine", f, 0, session.SolverConfig{}, "", nil)
+				s, err := session.New("engine", f, 0, "", nil)
 				if err != nil {
 					return sessionSkip(err)
 				}
@@ -72,7 +72,7 @@ func SessionRunners() []Runner {
 			Run: func(_ context.Context, f *graph.File) (RunStats, error) {
 				script := corpus.GenEditScript(f, 0, corpus.ScriptSeed(f), sessionScriptSteps)
 				edited := corpus.ApplyEditScript(f, 0, script)
-				s, err := session.New("engine", edited, 0, session.SolverConfig{}, "", nil)
+				s, err := session.New("engine", edited, 0, "", nil)
 				if err != nil {
 					return sessionSkip(err)
 				}

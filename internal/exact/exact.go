@@ -14,6 +14,7 @@ package exact
 
 import (
 	"context"
+	"fmt"
 
 	"regcoal/internal/graph"
 	"regcoal/internal/greedy"
@@ -222,6 +223,26 @@ type Result struct {
 	P           *graph.Partition
 	Uncoalesced []graph.Affinity
 	Cost        int64
+}
+
+// The coalescing envelope: the instances OptimalCoalescingCtx can be run
+// on where an answer is owed in bounded time (the batch engine's exact
+// runner, the service's anytime exact member). Branch and bound is 2^|A|
+// over the affinities with a colorability check per leaf, so an instance
+// beyond these bounds is declined instead of holding a worker for hours.
+const (
+	MaxMoves    = 14
+	MaxVertices = 48
+)
+
+// CheckEnvelope reports why g lies outside the coalescing envelope, or
+// nil when it lies inside.
+func CheckEnvelope(g *graph.Graph) error {
+	if g.NumAffinities() > MaxMoves || g.N() > MaxVertices {
+		return fmt.Errorf("instance outside exact envelope (moves %d > %d or vertices %d > %d)",
+			g.NumAffinities(), MaxMoves, g.N(), MaxVertices)
+	}
+	return nil
 }
 
 // OptimalCoalescing computes, by branch and bound over the affinity list, a

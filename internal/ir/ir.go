@@ -128,14 +128,6 @@ func (f *Func) RegName(r Reg) string {
 	return fmt.Sprintf("v%d", int(r))
 }
 
-// SetRegName assigns a debug name.
-func (f *Func) SetRegName(r Reg, name string) {
-	for int(r) >= len(f.regNames) {
-		f.regNames = append(f.regNames, "")
-	}
-	f.regNames[r] = name
-}
-
 // AddEdge wires a CFG edge from a to b.
 func (f *Func) AddEdge(a, b *Block) {
 	for _, s := range a.Succs {

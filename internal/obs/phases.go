@@ -96,12 +96,6 @@ func (s *Set) ObservePhase(e Endpoint, p Phase, d time.Duration) {
 	}
 }
 
-// Request exposes an endpoint's end-to-end histogram.
-func (s *Set) Request(e Endpoint) *Histogram { return &s.request[e] }
-
-// PhaseHistogram exposes one (endpoint, phase) histogram.
-func (s *Set) PhaseHistogram(e Endpoint, p Phase) *Histogram { return &s.phase[e][p] }
-
 // WritePrometheus renders the set as two histogram families:
 // regcoal_request_duration_seconds{endpoint=...} and
 // regcoal_phase_duration_seconds{endpoint=...,phase=...}. Series with

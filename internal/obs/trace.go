@@ -240,11 +240,8 @@ func (t *Trace) View() TraceView {
 	return v
 }
 
-// WriteText renders the trace as a human-readable timeline, the text
-// view of /debug/requests and loadgen's -slow dump.
-func (t *Trace) WriteText(w io.Writer) { writeViewText(w, t.View()) }
-
-// writeViewText renders an already-snapshotted TraceView as text.
+// writeViewText renders a trace snapshot as a human-readable timeline,
+// the text view of /debug/requests.
 func writeViewText(w io.Writer, v TraceView) {
 	fmt.Fprintf(w, "trace %s endpoint=%s", v.ID, v.Endpoint)
 	if v.Family != "" {

@@ -51,14 +51,11 @@ type Cache struct {
 }
 
 // NewCache builds a cache holding roughly capacity entries across shards
-// (each shard holds capacity/shards, minimum 1). capacity <= 0 disables
-// caching: Get always misses, Put is a no-op.
+// (shards >= 1; each shard holds capacity/shards, minimum 1). capacity
+// <= 0 disables caching: Get always misses, Put is a no-op.
 func NewCache(capacity, shards int) *Cache {
 	if capacity <= 0 {
 		return &Cache{}
-	}
-	if shards <= 0 {
-		shards = 16
 	}
 	if shards > capacity {
 		shards = capacity

@@ -156,7 +156,7 @@ func (s *Server) handleDelta(w http.ResponseWriter, r *http.Request) {
 	tr.BeginPhase(obs.PhaseDecode)
 	var req DeltaRequest
 	var f *graph.File
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, MaxBodyBytes))
 	if err != nil {
 		err = badRequest("decoding delta request: %v", err)
 	} else {

@@ -155,7 +155,7 @@ func TestDrainWaitsForInFlightBatch(t *testing.T) {
 func TestMetricsExposeCacheAndCollapseCounters(t *testing.T) {
 	// Capacity 1 forces an eviction as soon as two distinct instances
 	// are cached.
-	s, ts := startService(t, service.Config{Workers: 2, CacheCapacity: 1, CacheShards: 1})
+	s, ts := startService(t, service.Config{Workers: 2, CacheCapacity: 1})
 	jobs, err := loadgen.BuildJobs("tiny", 20060408, true, loadgen.JobOptions{Format: "native"})
 	if err != nil {
 		t.Fatal(err)

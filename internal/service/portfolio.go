@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"runtime/pprof"
 	"sort"
+	"strings"
 	"time"
 
 	"regcoal/internal/coalesce"
@@ -38,7 +39,8 @@ type racer[T any] struct {
 // (positive = first argument better; ties keep the earlier member, so a
 // completed race is deterministic). It returns as soon as either every
 // member finished, or the deadline fired and at least one answer exists.
-// Members returning coalesce.ErrInapplicable are skipped.
+// Members returning coalesce.ErrInapplicable are skipped; when every
+// member declines, the race answers 400 (see declined).
 //
 // When tr is non-nil the full race timeline is recorded onto it: each
 // member's start and finish (or the cut-off time for members still
@@ -71,23 +73,22 @@ func race[T any](ctx context.Context, members []racer[T], cmp func(a, b T) int, 
 		}()
 	}
 	var ends []int64
-	var errs []error
 	if tr != nil {
 		ends = make([]int64, len(members))
-		errs = make([]error, len(members))
 		for i := range ends {
 			ends[i] = -1 // not yet finished
 		}
 	}
+	errs := make([]error, len(members))
 	bestIdx = -1
 	got := 0
 	deadline := false
 	var firstErr error
 	take := func(o outcome) {
 		got++
+		errs[o.idx] = o.err
 		if tr != nil {
 			ends[o.idx] = o.endNS
-			errs[o.idx] = o.err
 		}
 		if o.err != nil {
 			if !errors.Is(o.err, coalesce.ErrInapplicable) && firstErr == nil {
@@ -161,9 +162,27 @@ func race[T any](ctx context.Context, members []racer[T], cmp func(a, b T) int, 
 		if firstErr != nil {
 			return best, "", -1, deadline, firstErr
 		}
-		return best, "", -1, deadline, fmt.Errorf("service: no portfolio member produced an answer")
+		return best, "", -1, deadline, declined(members, errs)
 	}
 	return best, members[bestIdx].name, bestIdx, deadline, nil
+}
+
+// declined answers a race in which every member declined the instance
+// with a 400 naming each member and its reason, in member order. A
+// decline depends only on the instance and the strategy list, so every
+// node declines the same request the same way and no retry can help.
+func declined[T any](members []racer[T], errs []error) error {
+	var b strings.Builder
+	b.WriteString("no strategy applies to this instance")
+	for i, m := range members {
+		if i == 0 {
+			b.WriteString(": ")
+		} else {
+			b.WriteString("; ")
+		}
+		b.WriteString(m.name + ": " + strings.TrimPrefix(errs[i].Error(), coalesce.ErrInapplicable.Error()+": "))
+	}
+	return badRequest("%s", b.String())
 }
 
 // DefaultPortfolio is the coalescing portfolio raced when a request does
@@ -179,11 +198,11 @@ func DefaultPortfolio() []string {
 // coalesceRacers resolves strategy names into portfolio members. Names
 // come from the coalesce registry; "exact" is the service's anytime
 // branch-and-bound member.
-func (s *Server) coalesceRacers(f *graph.File, names []string) ([]racer[*coalesce.Result], error) {
+func coalesceRacers(f *graph.File, names []string) ([]racer[*coalesce.Result], error) {
 	members := make([]racer[*coalesce.Result], 0, len(names))
 	for _, name := range names {
 		if name == "exact" {
-			members = append(members, s.exactRacer(f))
+			members = append(members, exactRacer(f))
 			continue
 		}
 		st, ok := coalesce.LookupStrategy(name)
@@ -201,15 +220,15 @@ func (s *Server) coalesceRacers(f *graph.File, names []string) ([]racer[*coalesc
 }
 
 // exactRacer wraps the exact solver as an anytime member: outside its
-// feasibility envelope it declines; canceled mid-search it reports the
-// best coalescing found so far instead of an error.
-func (s *Server) exactRacer(f *graph.File) racer[*coalesce.Result] {
+// feasibility envelope (exact.CheckEnvelope) it declines; canceled
+// mid-search it reports the best coalescing found so far instead of an
+// error.
+func exactRacer(f *graph.File) racer[*coalesce.Result] {
 	return racer[*coalesce.Result]{
 		name: "exact",
 		run: func(ctx context.Context) (*coalesce.Result, error) {
-			if f.G.NumAffinities() > s.cfg.ExactMaxMoves || f.G.N() > s.cfg.ExactMaxVertices {
-				return nil, fmt.Errorf("%w: instance outside exact envelope (moves %d > %d or vertices %d > %d)",
-					coalesce.ErrInapplicable, f.G.NumAffinities(), s.cfg.ExactMaxMoves, f.G.N(), s.cfg.ExactMaxVertices)
+			if err := exact.CheckEnvelope(f.G); err != nil {
+				return nil, fmt.Errorf("%w: %v", coalesce.ErrInapplicable, err)
 			}
 			res, _ := exact.OptimalCoalescingCtx(ctx, f.G, f.K, exact.TargetGreedy, exact.MinimizeWeight)
 			if res.P == nil {
@@ -321,10 +340,10 @@ func spillNames() []string { return []string{"greedy", "incremental", "exact"} }
 // both is deliberate: whichever the scheduler favors wins with the same
 // plan), and the anytime exact search, which declines instances beyond
 // its envelope and contributes its incumbent when the deadline fires.
-// The exact member runs under the server's node budget
-// (Config.SpillExactNodes) so one request never monopolizes a worker
-// for the full deadline when the heuristics answered in microseconds.
-func (s *Server) spillRacers(f *graph.File, names []string) ([]racer[*spill.Plan], error) {
+// The exact member runs under the node budget spillExactNodes so one
+// request never monopolizes a worker for the full deadline when the
+// heuristics answered in microseconds.
+func spillRacers(f *graph.File, names []string) ([]racer[*spill.Plan], error) {
 	if len(names) == 0 {
 		names = spillNames()
 	}
@@ -338,7 +357,7 @@ func (s *Server) spillRacers(f *graph.File, names []string) ([]racer[*spill.Plan
 			run = func(context.Context) (*spill.Plan, error) { return spill.Incremental(f, nil) }
 		case "exact":
 			run = func(ctx context.Context) (*spill.Plan, error) {
-				p, err := spill.ExactBudget(ctx, f, nil, s.cfg.SpillExactNodes)
+				p, err := spill.ExactBudget(ctx, f, nil, spillExactNodes)
 				if err == spill.ErrEnvelope {
 					return nil, fmt.Errorf("%w: %v", coalesce.ErrInapplicable, err)
 				}

@@ -136,11 +136,11 @@ func (s *Server) prepare(kind Kind, req *Request, f *graph.File, form string, tr
 	var err error
 	switch kind {
 	case KindCoalesce:
-		_, err = s.coalesceRacers(inst, strategies)
+		_, err = coalesceRacers(inst, strategies)
 	case KindAllocate:
 		_, err = allocateRacers(inst, strategies)
 	case KindSpill:
-		_, err = s.spillRacers(inst, strategies)
+		_, err = spillRacers(inst, strategies)
 	}
 	if err != nil {
 		return nil, badRequest("%v", err)
@@ -316,6 +316,9 @@ func (s *Server) computeOnPool(p *Prepared, tr *obs.Trace, admit bool) (*entry, 
 		return nil, &httpError{status: http.StatusServiceUnavailable, msg: "server shutting down"}
 	}
 	res := <-ch
+	if he := (*httpError)(nil); errors.As(res.err, &he) {
+		return nil, he // every member declined: a 400, not a server fault
+	}
 	if res.err != nil {
 		s.metrics.Errors.Add(1)
 		return nil, &httpError{status: http.StatusInternalServerError, msg: res.err.Error()}
@@ -351,7 +354,7 @@ func (s *Server) compute(p *Prepared, deadline time.Duration, tr *obs.Trace) (*e
 		return allocateEntry(canon.Perm, best, winner, hit), nil
 	}
 	if p.kind == KindSpill {
-		members, err := s.spillRacers(inst, strategies)
+		members, err := spillRacers(inst, strategies)
 		if err != nil {
 			return nil, err
 		}
@@ -361,7 +364,7 @@ func (s *Server) compute(p *Prepared, deadline time.Duration, tr *obs.Trace) (*e
 		}
 		return spillEntry(canon.Perm, best, winner, hit), nil
 	}
-	members, err := s.coalesceRacers(inst, strategies)
+	members, err := coalesceRacers(inst, strategies)
 	if err != nil {
 		return nil, err
 	}

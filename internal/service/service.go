@@ -65,6 +65,30 @@ const (
 	CanonHeader   = "X-Regcoal-Canon"
 )
 
+// Request limits. The body cap is fixed; the vertex and batch caps are
+// the defaults of Config.MaxVertices and Config.MaxBatch. A cluster
+// router reads the same values, so its routing and batch decisions agree
+// with its workers' validation.
+const (
+	// MaxBodyBytes bounds a request body, and an entry or session log on
+	// a cluster's internal wires.
+	MaxBodyBytes = 64 << 20
+	// DefaultMaxVertices caps a request graph's vertex count.
+	DefaultMaxVertices = 200000
+	// DefaultMaxBatch caps the graphs one batch request may carry.
+	DefaultMaxBatch = 256
+)
+
+const (
+	// cacheShards spreads the result cache's locking.
+	cacheShards = 16
+	// spillExactNodes is the branch-and-bound node budget of the spill
+	// endpoint's exact member (~tens of milliseconds): beyond it the
+	// member answers with its anytime incumbent instead of holding a
+	// worker for the rest of the deadline.
+	spillExactNodes = 1 << 14
+)
+
 // Config parameterizes a Server. Zero values take defaults.
 type Config struct {
 	// Workers is the pool size (default GOMAXPROCS).
@@ -75,38 +99,23 @@ type Config struct {
 	// CacheCapacity is the result cache size in entries (default 4096;
 	// negative disables caching).
 	CacheCapacity int
-	// CacheShards spreads cache locking (default 16).
-	CacheShards int
 	// DefaultDeadline applies when a request does not set deadline_ms;
 	// MaxDeadline clamps what a request may ask for (defaults 2s / 30s).
 	DefaultDeadline, MaxDeadline time.Duration
 	// Portfolio is the default coalescing strategy portfolio (default
 	// DefaultPortfolio()).
 	Portfolio []string
-	// ExactMaxMoves/ExactMaxVertices bound the instances the anytime
-	// exact member admits (defaults 14 / 48, as in the batch engine).
-	ExactMaxMoves, ExactMaxVertices int
-	// SpillExactNodes is the branch-and-bound node budget of the spill
-	// endpoint's exact member (default 16384, ~tens of milliseconds):
-	// beyond it the member answers with its anytime incumbent instead of
-	// holding a worker for the rest of the deadline.
-	SpillExactNodes int
 	// MaxVertices rejects oversized request graphs with 400 (default
-	// 200000).
+	// DefaultMaxVertices).
 	MaxVertices int
-	// MaxBodyBytes bounds a request body (default 64 MiB).
-	MaxBodyBytes int64
 	// MaxBatch bounds the graphs one batch request may carry (default
-	// 256).
+	// DefaultMaxBatch).
 	MaxBatch int
 	// MaxSessions caps the delta-solve sessions held, live or dormant
 	// (a replica's op log), with LRU eviction past it (default 256), and
 	// SessionTTL expires idle ones (default 15m).
-	// SessionBudget bounds the incremental affected-region re-solve in
-	// vertices before falling back to a full fresh solve (default 16384).
-	MaxSessions   int
-	SessionTTL    time.Duration
-	SessionBudget int
+	MaxSessions int
+	SessionTTL  time.Duration
 }
 
 func (c *Config) fillDefaults() {
@@ -119,9 +128,6 @@ func (c *Config) fillDefaults() {
 	if c.CacheCapacity == 0 {
 		c.CacheCapacity = 4096
 	}
-	if c.CacheShards <= 0 {
-		c.CacheShards = 16
-	}
 	if c.DefaultDeadline <= 0 {
 		c.DefaultDeadline = 2 * time.Second
 	}
@@ -131,23 +137,11 @@ func (c *Config) fillDefaults() {
 	if len(c.Portfolio) == 0 {
 		c.Portfolio = DefaultPortfolio()
 	}
-	if c.ExactMaxMoves <= 0 {
-		c.ExactMaxMoves = 14
-	}
-	if c.ExactMaxVertices <= 0 {
-		c.ExactMaxVertices = 48
-	}
-	if c.SpillExactNodes <= 0 {
-		c.SpillExactNodes = 1 << 14
-	}
 	if c.MaxVertices <= 0 {
-		c.MaxVertices = 200000
-	}
-	if c.MaxBodyBytes <= 0 {
-		c.MaxBodyBytes = 64 << 20
+		c.MaxVertices = DefaultMaxVertices
 	}
 	if c.MaxBatch <= 0 {
-		c.MaxBatch = 256
+		c.MaxBatch = DefaultMaxBatch
 	}
 }
 
@@ -173,14 +167,14 @@ type Server struct {
 // New builds a Server and its worker pool. Call Close to drain.
 func New(cfg Config) (*Server, error) {
 	cfg.fillDefaults()
-	if _, err := (&Server{cfg: cfg}).coalesceRacers(&graph.File{G: graph.New(1), K: 1}, cfg.Portfolio); err != nil {
+	if _, err := coalesceRacers(&graph.File{G: graph.New(1), K: 1}, cfg.Portfolio); err != nil {
 		return nil, fmt.Errorf("service: bad portfolio: %w", err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	s := &Server{
 		cfg:       cfg,
 		pool:      engine.NewPool(cfg.Workers, cfg.QueueCap),
-		cache:     NewCache(cfg.CacheCapacity, cfg.CacheShards),
+		cache:     NewCache(cfg.CacheCapacity, cacheShards),
 		metrics:   &Metrics{start: time.Now()},
 		lat:       obs.NewSet(),
 		tracer:    obs.NewTracer(128, 32, time.Millisecond),
@@ -190,7 +184,6 @@ func New(cfg Config) (*Server, error) {
 		sessions: session.NewStore(session.StoreConfig{
 			MaxSessions: cfg.MaxSessions,
 			TTL:         cfg.SessionTTL,
-			Solver:      session.SolverConfig{Budget: cfg.SessionBudget},
 			Decode: func(create []byte) (*graph.File, int, error) {
 				return decodeCreate(create, cfg.MaxVertices)
 			},
@@ -359,9 +352,6 @@ func (s *Server) finishTrace(tr *obs.Trace) {
 // /debug/requests route).
 func (s *Server) Tracer() *obs.Tracer { return s.tracer }
 
-// Latency exposes the latency histogram set (for embedders and tests).
-func (s *Server) Latency() *obs.Set { return s.lat }
-
 // traceWanted reports whether the request opted into a full solve
 // timeline in the response body (?trace=1 or X-Regcoal-Trace: 1).
 func traceWanted(r *http.Request) bool {
@@ -407,7 +397,7 @@ func (s *Server) handleSolve(kind Kind) http.HandlerFunc {
 		}
 
 		tr.BeginPhase(obs.PhaseDecode)
-		body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
+		body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, MaxBodyBytes))
 		if err != nil {
 			fail(badRequest("decoding request: %v", err))
 			return
@@ -469,7 +459,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	defer s.metrics.InFlight.Add(-1)
 
 	var req BatchSolveRequest
-	body := http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
+	body := http.MaxBytesReader(w, r.Body, MaxBodyBytes)
 	dec := json.NewDecoder(body)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil {
@@ -528,7 +518,7 @@ func (s *Server) runBatch(kind Kind, items []Request) *BatchResponse {
 // solveBatchItem answers one batch element as an in-place entry: the
 // single-solve pipeline without admission (the fan-out is already bounded
 // by the pool queue, whose saturation surfaces per entry). A malformed
-// element counts as a bad request.
+// element, or one every strategy declines, counts as a bad request.
 func (s *Server) solveBatchItem(kind Kind, sub *Request) BatchEntry {
 	p, err := s.prepare(kind, sub, nil, "", nil)
 	if err != nil {
@@ -537,6 +527,9 @@ func (s *Server) solveBatchItem(kind Kind, sub *Request) BatchEntry {
 	}
 	out, _, _, err := s.solve(p, nil, false)
 	if err != nil {
+		if ErrorStatus(err) == http.StatusBadRequest {
+			s.metrics.BadRequests.Add(1)
+		}
 		return BatchEntry{Error: err.Error()}
 	}
 	switch v := out.(type) {

@@ -49,7 +49,7 @@ func costsOf(sol *session.Solve) costs {
 // whose initial solve is a full fresh pass over a map-order rebuild.
 func freshCosts(t *testing.T, edited *graph.File) costs {
 	t.Helper()
-	s, err := session.New("fresh", edited, 0, session.SolverConfig{}, "", nil)
+	s, err := session.New("fresh", edited, 0, "", nil)
 	if err != nil {
 		t.Fatalf("fresh session over edited graph: %v", err)
 	}
@@ -165,7 +165,7 @@ func TestDifferentialIncrementalEqualsFresh(t *testing.T) {
 				seed := int64(0x5c819700) + int64(si)*7919
 				script := corpus.GenEditScript(f, 0, seed, scriptSteps)
 
-				s, err := session.New("diff", f, 0, session.SolverConfig{}, "", nil)
+				s, err := session.New("diff", f, 0, "", nil)
 				if err != nil {
 					t.Fatalf("script %d: session over %s: %v", si, inst.Name, err)
 				}

@@ -7,26 +7,16 @@ import (
 	"regcoal/internal/graph"
 )
 
-// SolverConfig bounds a session's incremental machinery. Zero values take
-// defaults.
-type SolverConfig struct {
-	// Budget caps the BFS-bounded affected region (in vertices): when the
+// The bounds of a session's incremental machinery.
+const (
+	// budget caps the BFS-bounded affected region (in vertices): when the
 	// dirty flood-fill visits more, the session falls back to a full
 	// fresh solve over all components (the always-correct fallback).
-	Budget int
-	// MemoCap bounds the per-session component-result memo; exceeding it
+	budget = 1 << 14
+	// memoCap bounds the per-session component-result memo; exceeding it
 	// clears the memo (correctness is unaffected, only reuse).
-	MemoCap int
-}
-
-func (c *SolverConfig) fillDefaults() {
-	if c.Budget <= 0 {
-		c.Budget = 1 << 14
-	}
-	if c.MemoCap <= 0 {
-		c.MemoCap = 4096
-	}
-}
+	memoCap = 4096
+)
 
 // Path labels how a solve was obtained.
 type Path string
@@ -87,7 +77,6 @@ type Session struct {
 
 	id       string
 	baseHash string
-	cfg      SolverConfig
 	metrics  *Metrics
 
 	k      int
@@ -124,8 +113,7 @@ type Session struct {
 // that the solve is insensitive to the base file's affinity order. k
 // overrides f.K when positive. The initial solve runs immediately (path
 // "fresh"), so the create response carries a result.
-func New(id string, f *graph.File, k int, cfg SolverConfig, baseHash string, m *Metrics) (*Session, error) {
-	cfg.fillDefaults()
+func New(id string, f *graph.File, k int, baseHash string, m *Metrics) (*Session, error) {
 	if k <= 0 {
 		k = f.K
 	}
@@ -139,7 +127,6 @@ func New(id string, f *graph.File, k int, cfg SolverConfig, baseHash string, m *
 	s := &Session{
 		id:       id,
 		baseHash: baseHash,
-		cfg:      cfg,
 		metrics:  m,
 		k:        k,
 		g:        graph.New(n),

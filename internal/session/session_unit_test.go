@@ -22,7 +22,7 @@ func base4(t *testing.T) *graph.File {
 }
 
 func TestSessionLifecycle(t *testing.T) {
-	s, err := New("s-test", base4(t), 0, SolverConfig{}, "h", &Metrics{})
+	s, err := New("s-test", base4(t), 0, "h", &Metrics{})
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
@@ -78,7 +78,7 @@ func TestSessionLifecycle(t *testing.T) {
 }
 
 func TestSessionVertexChurn(t *testing.T) {
-	s, err := New("s-test", base4(t), 0, SolverConfig{}, "h", &Metrics{})
+	s, err := New("s-test", base4(t), 0, "h", &Metrics{})
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
@@ -116,7 +116,7 @@ func TestSessionVertexChurn(t *testing.T) {
 }
 
 func TestSessionRejectsAtomically(t *testing.T) {
-	s, err := New("s-test", base4(t), 0, SolverConfig{}, "h", &Metrics{})
+	s, err := New("s-test", base4(t), 0, "h", &Metrics{})
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
@@ -142,7 +142,7 @@ func TestSessionRejectsAtomically(t *testing.T) {
 }
 
 func TestApplyAtVersionConflict(t *testing.T) {
-	s, err := New("s-test", base4(t), 0, SolverConfig{}, "h", &Metrics{})
+	s, err := New("s-test", base4(t), 0, "h", &Metrics{})
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
@@ -215,7 +215,7 @@ func TestChordalFallbackMidSession(t *testing.T) {
 	m := &Metrics{}
 	// Chordal base: C4 plus the 0-2 chord, with an affinity the solver
 	// can coalesce, so the chordal member competes for the win.
-	s, err := New("s-test", base4(t), 0, SolverConfig{}, "h", m)
+	s, err := New("s-test", base4(t), 0, "h", m)
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}

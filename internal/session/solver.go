@@ -97,7 +97,7 @@ func (s *Session) resolve() {
 
 	full := !s.solved || s.allDirty
 	visited := ar.Bools(n)
-	if !full && s.bfsAffected(ar, visited) > s.cfg.Budget {
+	if !full && s.bfsAffected(ar, visited) > budget {
 		full = true
 	}
 
@@ -139,7 +139,7 @@ func (s *Session) resolve() {
 			continue
 		}
 		r := s.solveComponent(vs, local)
-		if len(s.memo) >= s.cfg.MemoCap {
+		if len(s.memo) >= memoCap {
 			clear(s.memo)
 		}
 		s.memo[key] = r

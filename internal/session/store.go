@@ -23,8 +23,6 @@ type StoreConfig struct {
 	MaxSessions int
 	// TTL expires sessions idle longer than this (default 15 minutes).
 	TTL time.Duration
-	// Solver bounds each session's incremental machinery.
-	Solver SolverConfig
 	// Decode reads a logged create request body into its base instance
 	// and register count, exactly as the live create read it. Replaying
 	// a dormant session's op log runs it; without it the replay fails.
@@ -40,7 +38,6 @@ func (c *StoreConfig) fillDefaults() {
 	if c.TTL <= 0 {
 		c.TTL = 15 * time.Minute
 	}
-	c.Solver.fillDefaults()
 	if c.now == nil {
 		c.now = time.Now
 	}
@@ -120,7 +117,7 @@ func (st *Store) Create(f *graph.File, k int, baseHash string, body []byte) (*Se
 	id := st.mintID()
 	st.mu.Unlock()
 	// Build outside the store lock: creation solves the base instance.
-	s, err := New(id, f, k, st.cfg.Solver, baseHash, &st.metrics)
+	s, err := New(id, f, k, baseHash, &st.metrics)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -384,7 +381,7 @@ func (st *Store) rebuild(rec *ExportRecord) (*Session, error) {
 	if baseHash == "" {
 		baseHash = graph.CanonicalForm(&graph.File{G: f.G, K: k}).Hash
 	}
-	s, err := New(rec.SessionID, f, k, st.cfg.Solver, baseHash, &st.metrics)
+	s, err := New(rec.SessionID, f, k, baseHash, &st.metrics)
 	if err != nil {
 		return nil, fmt.Errorf("create: %w", err)
 	}
