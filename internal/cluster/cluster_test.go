@@ -16,6 +16,7 @@ import (
 	"net/http/httptest"
 	"slices"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -397,8 +398,9 @@ func TestNewWorkerRefusesPeersWithoutSelf(t *testing.T) {
 // The singleflight acceptance test: 64 concurrent identical requests
 // through the router produce exactly one portfolio race cluster-wide and
 // 64 byte-identical responses. The instance is a dense branch-and-bound
-// graph whose race runs the full 500ms deadline, so every follower
-// arrives while the leader is still computing.
+// graph whose race takes tens of milliseconds, well inside its 500ms
+// deadline, so followers arrive while the leader is still computing; one
+// that arrives after it finds the answer cached.
 func TestClusterSingleflightCollapses64ConcurrentDuplicates(t *testing.T) {
 	c := startCluster(t, 3, cluster.InProcessOptions{
 		Service: service.Config{Workers: 4, QueueCap: 256},
@@ -600,6 +602,25 @@ func TestDrainFailsReadinessAndRouterFailsOver(t *testing.T) {
 	}
 }
 
+// parkingTier is a worker's tier whose first admitted request, once it
+// holds its lane slot, waits until release is closed: a holder of the
+// heavy lane that does not depend on how long its solve takes.
+type parkingTier struct {
+	*cluster.Worker
+	first   atomic.Bool
+	parked  chan struct{}
+	release chan struct{}
+}
+
+func (p *parkingTier) Admit(prep *service.Prepared) (func(), error) {
+	done, err := p.Worker.Admit(prep)
+	if err == nil && p.first.CompareAndSwap(false, true) {
+		close(p.parked)
+		<-p.release
+	}
+	return done, err
+}
+
 // A full heavy lane answers 429 with backpressure instead of queueing
 // more expensive races.
 func TestAdmissionHeavyLaneRejectsWhenFull(t *testing.T) {
@@ -613,11 +634,16 @@ func TestAdmissionHeavyLaneRejectsWhenFull(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	tier := &parkingTier{Worker: w, parked: make(chan struct{}), release: make(chan struct{})}
+	svc.SetTier(tier)
+	var releaseOnce sync.Once
+	release := func() { releaseOnce.Do(func() { close(tier.release) }) }
 	ts := httptest.NewServer(w)
 	t.Cleanup(func() {
 		ts.Close()
 		svc.Close()
 	})
+	t.Cleanup(release) // runs first: a failed test must not leave the holder parked
 
 	rng := rand.New(rand.NewSource(42))
 	g := graph.RandomER(rng, 48, 0.4)
@@ -646,7 +672,13 @@ func TestAdmissionHeavyLaneRejectsWhenFull(t *testing.T) {
 		}
 		holder <- nil
 	}()
-	time.Sleep(150 * time.Millisecond) // holder is inside its 500ms race
+	select {
+	case <-tier.parked: // the holder owns the heavy lane's one slot
+	case err := <-holder:
+		t.Fatalf("holder answered without being admitted: %v", err)
+	case <-time.After(10 * time.Second):
+		t.Fatal("holder never reached admission")
+	}
 
 	status, _, got := post(t, ts.URL+"/v1/coalesce", body)
 	if status != http.StatusTooManyRequests {
@@ -659,6 +691,7 @@ func TestAdmissionHeavyLaneRejectsWhenFull(t *testing.T) {
 	if e.Error != "heavy lane full, retry later" {
 		t.Fatalf("429 body %q", e.Error)
 	}
+	release()
 	if err := <-holder; err != nil {
 		t.Fatal(err)
 	}

@@ -85,7 +85,8 @@ func affinityOrder(g *graph.Graph) []int {
 
 // state tracks an in-progress coalescing: the partition and the current
 // coalesced graph (quotient), refreshed after each merge. Refreshing is
-// O(V + E + A); the drivers trade that for simplicity and correctness.
+// one Quotient, O(V + E + A) plus zeroing the quotient's bitset; the
+// drivers trade that for simplicity and correctness.
 type state struct {
 	g       *graph.Graph
 	p       *graph.Partition

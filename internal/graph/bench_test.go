@@ -114,3 +114,41 @@ func BenchmarkCanonicalForm(b *testing.B) {
 		})
 	}
 }
+
+// quotientSink keeps the quotient benchmark's result live.
+var quotientSink *Graph
+
+// BenchmarkQuotient prices one coalesced-graph build, which the brute
+// conservative test, optimistic de-coalescing and the exact search pay
+// once per probe: "hot" is sized like servebench's hot mix (40
+// vertices, 201 edges, 30 moves; 23 classes), "dense300" is 300 vertices
+// at density 0.3 with 150 moves (13 565 edges; 192 classes). The
+// partition is the aggressive sweep's.
+func BenchmarkQuotient(b *testing.B) {
+	for _, c := range []struct {
+		name   string
+		n      int
+		p      float64
+		moves  int
+		weight int
+	}{
+		{"hot", 40, 0.245, 30, 50},
+		{"dense300", 300, 0.3, 150, 8},
+	} {
+		rng := rand.New(rand.NewSource(42))
+		g := RandomER(rng, c.n, c.p)
+		SprinkleAffinities(rng, g, c.moves, c.weight)
+		g.SetPrecolored(0, 0)
+		p := MergeAll(g)
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				q, _, err := Quotient(g, p)
+				if err != nil {
+					b.Fatal(err)
+				}
+				quotientSink = q
+			}
+		})
+	}
+}

@@ -117,11 +117,9 @@ func NewNamed(names ...string) *Graph {
 // Duplicate edges and both orientations of one edge are allowed and count
 // once. It is the bulk form of New plus one AddEdge and AddAffinity per
 // element, and builds the same graph: the bitset is set from the edge
-// list, then every vertex's sorted neighbor slice is read off its bitset
-// row into one shared backing array. Each slice is capped at its degree,
-// so a later AddEdge reallocates it instead of overwriting the next
-// vertex's neighbors. Endpoints out of range, self-loops and negative
-// weights panic, as in AddEdge and AddAffinity.
+// list, then fillNeighbors reads the sorted neighbor slices off it.
+// Endpoints out of range, self-loops and negative weights panic, as in
+// AddEdge and AddAffinity.
 func FromEdges(n int, edges []V, affinities []Affinity) *Graph {
 	if len(edges)%2 != 0 {
 		panic(fmt.Sprintf("graph: odd edge list length %d", len(edges)))
@@ -134,29 +132,10 @@ func FromEdges(n int, edges []V, affinities []Affinity) *Graph {
 		if u == v {
 			panic(fmt.Sprintf("graph: self-loop on vertex %d", int(u)))
 		}
-		iu := int(u)*g.stride + int(v)>>6
-		mu := uint64(1) << (uint(v) & 63)
-		if g.bits[iu]&mu == 0 {
-			g.bits[iu] |= mu
-			g.bits[int(v)*g.stride+int(u)>>6] |= 1 << (uint(u) & 63)
-			g.edges++
-		}
+		g.bits[int(u)*g.stride+int(v)>>6] |= 1 << (uint(v) & 63)
+		g.bits[int(v)*g.stride+int(u)>>6] |= 1 << (uint(u) & 63)
 	}
-	backing := make([]V, 2*g.edges)
-	off := 0
-	for u := 0; u < n; u++ {
-		start := off
-		for w, word := range g.row(V(u)) {
-			for word != 0 {
-				backing[off] = V(w<<6 | bits.TrailingZeros64(word))
-				off++
-				word &= word - 1
-			}
-		}
-		if off > start {
-			g.nbr[u] = backing[start:off:off]
-		}
-	}
+	g.fillNeighbors()
 	if len(affinities) > 0 {
 		g.affinities = make([]Affinity, len(affinities))
 	}
@@ -169,6 +148,35 @@ func FromEdges(n int, edges []V, affinities []Affinity) *Graph {
 		g.affinities[i] = a.Canon()
 	}
 	return g
+}
+
+// fillNeighbors sets the edge count and every vertex's sorted neighbor
+// slice of a graph whose bitset holds its edges (both orientations) and
+// whose slices are still empty, as New leaves them: the slices are read
+// off the bitset rows into one shared backing array. Each slice is capped
+// at its degree, so a later AddEdge reallocates it instead of overwriting
+// the next vertex's neighbors.
+func (g *Graph) fillNeighbors() {
+	half := 0
+	for _, word := range g.bits {
+		half += bits.OnesCount64(word)
+	}
+	g.edges = half / 2
+	backing := make([]V, half)
+	off := 0
+	for u := 0; u < g.n; u++ {
+		start := off
+		for w, word := range g.row(V(u)) {
+			for word != 0 {
+				backing[off] = V(w<<6 | bits.TrailingZeros64(word))
+				off++
+				word &= word - 1
+			}
+		}
+		if off > start {
+			g.nbr[u] = backing[start:off:off]
+		}
+	}
 }
 
 // N reports the number of vertices.
@@ -471,19 +479,62 @@ func (g *Graph) TotalAffinityWeight() int64 {
 // summing weights, drops self-affinities, and sorts the affinity list.
 func (g *Graph) NormalizeAffinities() {
 	g.mutable("NormalizeAffinities")
-	merged := make(map[[2]V]int64)
+	as := g.affinities[:0]
 	for _, a := range g.affinities {
-		a = a.Canon()
-		if a.X == a.Y {
+		if a = a.Canon(); a.X != a.Y {
+			as = append(as, a)
+		}
+	}
+	g.affinities = mergeAffinities(as, g.n)
+}
+
+// mergeAffinities sorts as by endpoints and sums each run of parallel
+// affinities into its first, in place, and returns the merged prefix:
+// the list NormalizeAffinities and Quotient leave, sorted as
+// SortAffinities would sort it. Every affinity must be endpoint-ordered
+// with X < Y < n. Two stable counting passes, by Y into a scratch copy
+// and then by X back into as, make it O(n + len(as)).
+func mergeAffinities(as []Affinity, n int) []Affinity {
+	if len(as) < 2 {
+		return as
+	}
+	tmp := make([]Affinity, len(as))
+	count := make([]int, n+1)
+	countingPass(tmp, as, count, false)
+	clear(count)
+	countingPass(as, tmp, count, true)
+	m := 1
+	for _, a := range as[1:] {
+		if last := &as[m-1]; last.X == a.X && last.Y == a.Y {
+			last.Weight += a.Weight
 			continue
 		}
-		merged[[2]V{a.X, a.Y}] += a.Weight
+		as[m] = a
+		m++
 	}
-	g.affinities = g.affinities[:0]
-	for pair, w := range merged {
-		g.affinities = append(g.affinities, Affinity{X: pair[0], Y: pair[1], Weight: w})
+	return as[:m]
+}
+
+// countingPass stably scatters src into dst by X (byX) or by Y, using
+// count (zeroed, one longer than the largest key) for the bucket offsets.
+func countingPass(dst, src []Affinity, count []int, byX bool) {
+	key := func(a Affinity) V {
+		if byX {
+			return a.X
+		}
+		return a.Y
 	}
-	SortAffinities(g.affinities)
+	for _, a := range src {
+		count[key(a)+1]++
+	}
+	for i := 1; i < len(count); i++ {
+		count[i] += count[i-1]
+	}
+	for _, a := range src {
+		k := key(a)
+		dst[count[k]] = a
+		count[k]++
+	}
 }
 
 // SortAffinities sorts affinities by endpoints, then weight. It performs

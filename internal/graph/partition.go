@@ -1,9 +1,6 @@
 package graph
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // Partition is a disjoint-set (union-find) structure over the vertices of a
 // graph. It is the paper's formalization of a coalescing: a coalescing f of
@@ -107,20 +104,47 @@ func (p *Partition) CopyFrom(o *Partition) {
 }
 
 // Classes returns the classes of the partition, each sorted increasingly,
-// ordered by their smallest member.
+// ordered by their smallest member. It is O(n): the classes are numbered
+// in one pass and filled in vertex order into one shared backing array,
+// each class capped at its size.
 func (p *Partition) Classes() [][]V {
-	byRoot := make(map[V][]V)
-	for i := range p.parent {
-		r := p.Find(V(i))
-		byRoot[r] = append(byRoot[r], V(i))
+	id := make([]V, len(p.parent))
+	size := make([]int, p.number(id))
+	for _, c := range id {
+		size[c]++
 	}
-	classes := make([][]V, 0, len(byRoot))
-	for _, c := range byRoot {
-		sort.Slice(c, func(i, j int) bool { return c[i] < c[j] })
-		classes = append(classes, c)
+	backing := make([]V, len(id))
+	classes := make([][]V, len(size))
+	off := 0
+	for c, n := range size {
+		classes[c] = backing[off : off : off+n]
+		off += n
 	}
-	sort.Slice(classes, func(i, j int) bool { return classes[i][0] < classes[j][0] })
+	for v, c := range id {
+		classes[c] = append(classes[c], V(v))
+	}
 	return classes
+}
+
+// number sets id[v] to the number of v's class for every vertex, the
+// classes numbered 0, 1, ... by their smallest member, and returns how
+// many there are. One pass in increasing vertex order meets each class
+// first at its smallest member; id doubles as the table from a class's
+// root to its number, since a root's own entry is that number.
+func (p *Partition) number(id []V) int {
+	for v := range id {
+		id[v] = -1
+	}
+	k := 0
+	for v := range id {
+		r := p.Find(V(v))
+		if id[r] < 0 {
+			id[r] = V(k)
+			k++
+		}
+		id[v] = id[r]
+	}
+	return k
 }
 
 // Refines reports whether p refines q, i.e. every class of p is contained in

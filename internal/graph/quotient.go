@@ -16,51 +16,71 @@ import "fmt"
 // (it is coalesced); the others are re-attached to the class vertices, with
 // parallel affinities merged by weight. Precoloring is carried to the class
 // vertex. Class vertices are named after their smallest member's name.
+//
+// Quotient runs in O(V + E + A) beyond zeroing the quotient's bitset: the
+// classes are numbered by smallest member in one pass over the vertices
+// (Partition.number), each edge sets its bit in the quotient's bitset,
+// fillNeighbors reads the neighbor slices off the rows, and
+// mergeAffinities merges the re-attached affinities.
 func Quotient(g *Graph, p *Partition) (*Graph, []V, error) {
 	if p.N() != g.N() {
 		return nil, nil, fmt.Errorf("graph: partition over %d vertices does not match graph with %d vertices", p.N(), g.N())
 	}
-	classes := p.Classes()
-	old2new := make([]V, g.N())
-	q := New(len(classes))
-	for i, class := range classes {
-		for _, v := range class {
-			old2new[v] = V(i)
+	old2new := make([]V, g.n)
+	q := New(p.number(old2new))
+	// The first member met of a class names it. A precolor conflict is
+	// reported for the class with the smallest member, between its first
+	// precolor and the first that differs, as a scan class by class would.
+	named, conflict := 0, -1
+	var first, second int
+	for v, c := range old2new {
+		if int(c) == named {
+			q.names[c] = g.names[v]
+			named++
 		}
-		q.names[i] = g.names[class[0]]
-		for _, v := range class {
-			c, ok := g.Precolored(v)
-			if !ok {
-				continue
-			}
-			if prev, seen := q.Precolored(V(i)); seen && prev != c {
-				return nil, nil, fmt.Errorf("graph: class %v merges precolors %d and %d", class, prev, c)
-			}
-			q.SetPrecolored(V(i), c)
+		col := g.precolored[v]
+		if col == NoColor {
+			continue
+		}
+		switch prev := q.precolored[c]; {
+		case prev == NoColor:
+			q.precolored[c] = col
+		case prev != col && (conflict < 0 || int(c) < conflict):
+			conflict, first, second = int(c), prev, col
 		}
 	}
-	for _, e := range g.Edges() {
-		a, b := old2new[e[0]], old2new[e[1]]
-		if a == b {
-			return nil, nil, fmt.Errorf("graph: vertices %d and %d interfere but share a class", int(e[0]), int(e[1]))
+	if conflict >= 0 {
+		var class []V
+		for v, c := range old2new {
+			if int(c) == conflict {
+				class = append(class, V(v))
+			}
 		}
-		q.AddEdge(a, b)
+		return nil, nil, fmt.Errorf("graph: class %v merges precolors %d and %d", class, first, second)
 	}
-	merged := make(map[[2]V]int64)
+	// Each half-edge sets one orientation of its class pair. Vertices and
+	// their neighbors run in increasing order, so the first interfering
+	// pair met inside a class is the smallest edge (u < v) in one.
+	for u, a := range old2new {
+		row := q.bits[int(a)*q.stride:]
+		for _, v := range g.nbr[u] {
+			b := old2new[v]
+			if a == b {
+				return nil, nil, fmt.Errorf("graph: vertices %d and %d interfere but share a class", u, int(v))
+			}
+			row[b>>6] |= 1 << (uint(b) & 63)
+		}
+	}
+	q.fillNeighbors()
+	as := make([]Affinity, 0, len(g.affinities))
 	for _, a := range g.affinities {
-		x, y := old2new[a.X], old2new[a.Y]
-		if x == y {
-			continue // coalesced
+		if x, y := old2new[a.X], old2new[a.Y]; x != y {
+			as = append(as, Affinity{X: x, Y: y, Weight: a.Weight}.Canon())
 		}
-		if x > y {
-			x, y = y, x
-		}
-		merged[[2]V{x, y}] += a.Weight
 	}
-	for pair, w := range merged {
-		q.affinities = append(q.affinities, Affinity{X: pair[0], Y: pair[1], Weight: w})
+	if len(as) > 0 { // with no affinity left, the list stays nil
+		q.affinities = mergeAffinities(as, q.n)
 	}
-	SortAffinities(q.affinities)
 	return q, old2new, nil
 }
 
@@ -72,9 +92,9 @@ func CanMerge(g *Graph, p *Partition, u, v V) bool {
 	if ru == rv {
 		return true
 	}
-	// Collect both classes. Classes() is O(n); instead walk all vertices
-	// once — callers on hot paths should maintain class membership
-	// themselves, but correctness here is what matters.
+	// Collect both classes in one O(n) walk over the vertices, which
+	// Classes would also take but then build every class. Callers on hot
+	// paths keep class membership themselves.
 	var cu, cv []V
 	for i := 0; i < g.N(); i++ {
 		switch p.Find(V(i)) {

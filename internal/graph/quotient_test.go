@@ -197,3 +197,35 @@ func TestQuickQuotientColoringLift(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// maxQuotientAllocs bounds the allocations of one Quotient on a graph
+// with affinities left to merge: the vertex map, New's five (graph,
+// neighbor slices, names, precolors, bitset), the shared neighbor
+// backing, and the affinity list with mergeAffinities' scratch copy and
+// bucket counts.
+const maxQuotientAllocs = 10
+
+// TestQuotientAllocs gates Quotient's allocations on a graph sized like
+// servebench's hot mix, coalesced by the aggressive sweep. The count
+// does not grow with the graph: no map, no per-class slice, no per-edge
+// insert.
+func TestQuotientAllocs(t *testing.T) {
+	if RaceEnabled {
+		t.Skip("race instrumentation inflates allocation counts")
+	}
+	for _, n := range []int{40, 300} {
+		rng := rand.New(rand.NewSource(42))
+		g := RandomER(rng, n, 0.245)
+		SprinkleAffinities(rng, g, 30, 50)
+		g.SetPrecolored(0, 0)
+		p := MergeAll(g)
+		allocs := testing.AllocsPerRun(20, func() {
+			if _, _, err := Quotient(g, p); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs > maxQuotientAllocs {
+			t.Fatalf("n=%d: Quotient allocates %.0f times, want at most %d", n, allocs, maxQuotientAllocs)
+		}
+	}
+}

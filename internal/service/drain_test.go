@@ -79,9 +79,10 @@ func TestReadinessSplitsFromLiveness(t *testing.T) {
 func TestDrainWaitsForInFlightBatch(t *testing.T) {
 	s, ts := startService(t, service.Config{Workers: 2, QueueCap: 64})
 
-	// A batch of two branch-and-bound instances, each racing a full
-	// 300ms deadline: the request holds InFlight long enough for Drain
-	// to provably start while it is running.
+	// A batch of two branch-and-bound instances, each racing for tens of
+	// milliseconds under a 300ms deadline: the request holds InFlight
+	// long enough for Drain, started as soon as it is seen in flight, to
+	// start while it is running.
 	rng := rand.New(rand.NewSource(42))
 	g := graph.RandomER(rng, 48, 0.4)
 	graph.SprinkleAffinities(rng, g, 14, 100)

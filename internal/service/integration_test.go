@@ -149,9 +149,9 @@ func TestRepeatedGraphByteIdenticalUnderLoad(t *testing.T) {
 }
 
 // A dense instance inside the exact envelope: branch and bound over 14
-// moves with a per-leaf colorability check takes far longer than the 1ms
-// deadline, so the race is cut off and must still answer with the best
-// heuristic result.
+// moves with a per-leaf colorability check takes tens of milliseconds,
+// far longer than the 1ms deadline, so the race is cut off and must
+// still answer with the best heuristic result.
 func TestDeadlineExceededStillAnswers(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	g := graph.RandomER(rng, 48, 0.4)
