@@ -11,9 +11,8 @@ package main
 //     canonical hashing) and the two solver hot paths that dominate
 //     service latency (IRC allocation, greedy spilling).
 //   - service (perfservice.go): the end-to-end request path — JSON
-//     decode → canonicalization → portfolio race → encode — plus a
-//     loadgen-driven QPS/latency-percentile kernel against an
-//     in-process server.
+//     decode → canonicalization → portfolio race → encode — one request
+//     at a time against an in-process handler.
 //
 // Each suite is intentionally small and fixed: the same named kernels,
 // the same seeds, the same instance sizes, so ns/op numbers from
@@ -43,24 +42,12 @@ import (
 // change, invalidating cross-version comparisons.
 const perfSuiteVersion = 1
 
-// PerfKernel is one measured kernel of a perf run. OpsPerSec is set only
-// by throughput-shaped kernels (the service loadgen kernels), where ns/op
-// alone would hide concurrency; HitRate (cache hits + singleflight
-// collapses over successful requests) only by the loadgen kernels, where
-// the cache mix explains the latency distribution.
+// PerfKernel is one measured kernel of a perf run.
 type PerfKernel struct {
 	Name        string  `json:"name"`
 	NsPerOp     float64 `json:"ns_per_op"`
 	AllocsPerOp int64   `json:"allocs_per_op"`
 	BytesPerOp  int64   `json:"bytes_per_op"`
-	OpsPerSec   float64 `json:"ops_per_sec,omitempty"`
-	HitRate     float64 `json:"hit_rate,omitempty"`
-	// PhaseNS breaks the loadgen kernels' latency down by server-side
-	// request phase (decode, canon, peer, cache, race, encode): the p50
-	// of each phase's duration in ns, parsed from the X-Regcoal-Phases
-	// response headers the service attaches. Only the inv-throughput
-	// kernel of each loadgen prefix carries it.
-	PhaseNS map[string]float64 `json:"phase_ns,omitempty"`
 }
 
 // PerfRun is the result of one -perf invocation.

@@ -152,7 +152,7 @@ func TestCommittedTrajectoryWellFormed(t *testing.T) {
 
 func TestServiceSuiteShape(t *testing.T) {
 	names := serviceKernelNames()
-	want := 4*len(serviceFamilies) + len(spillFamilies) + 8 // decode/solve/cached/delta + spill + single + cluster loadgen
+	want := 4*len(serviceFamilies) + len(spillFamilies) // decode/solve/cached/delta + spill
 	if len(names) != want {
 		t.Fatalf("service suite has %d kernels, want %d: %v", len(names), want, names)
 	}
@@ -162,8 +162,8 @@ func TestServiceSuiteShape(t *testing.T) {
 			t.Fatalf("duplicate kernel name %s", n)
 		}
 		seen[n] = true
-		if !strings.HasPrefix(n, "svc-") && !strings.HasPrefix(n, "cluster-") {
-			t.Fatalf("service kernel %q lacks the svc- or cluster- prefix", n)
+		if !strings.HasPrefix(n, "svc-") {
+			t.Fatalf("service kernel %q lacks the svc- prefix", n)
 		}
 	}
 }
@@ -312,17 +312,5 @@ func TestCommittedServiceTrajectoryWellFormed(t *testing.T) {
 	}
 	if deltaKernels > 0 && deltaWins < 3 {
 		t.Errorf("svc-delta beats svc-solve on %d families, want >= 3", deltaWins)
-	}
-	// The committed current run must carry the cluster loadgen scenario —
-	// the sharded tier's throughput/latency alongside the single-node
-	// numbers (it has no baseline counterpart, so no speedup entry).
-	clusterKernels := 0
-	for _, k := range traj.Current.Kernels {
-		if strings.HasPrefix(k.Name, "cluster-loadgen/") {
-			clusterKernels++
-		}
-	}
-	if clusterKernels != 4 {
-		t.Errorf("current run has %d cluster-loadgen kernels, want 4", clusterKernels)
 	}
 }

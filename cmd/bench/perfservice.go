@@ -5,8 +5,10 @@ package main
 // per-family kernel drives the real HTTP handler in process (no network)
 // over a deterministic corpus instance:
 //
-//   - svc-decode/<family>:  JSON request decode → graph build (the parse
-//     side of the request path, no solving)
+//   - svc-decode/<family>:  strict encoding/json decode → GraphSpec.ToFile
+//     graph build, the path a batch item or a body the one-pass scanner
+//     declines takes (no solving; the scanner's own kernel is
+//     BenchmarkDecodeRequest in internal/service)
 //   - svc-solve/<family>:   full decode → canonicalize → portfolio race →
 //     encode with the cache bypassed (the steady-state compute path)
 //   - svc-cached/<family>:  the same request answered from the canonical
@@ -19,18 +21,9 @@ package main
 //     svc-solve/<family> is what the per-edit session path saves over
 //     re-solving the instance from scratch
 //
-// plus two loadgen-driven kernel sets produced by the same concurrent,
-// response-validating replayer that cmd/loadgen uses:
-//
-//   - svc-loadgen/*: against a single in-process HTTP server —
-//     {mean,p50,p99} report per-request latency in ns/op, and
-//     inv-throughput reports wall-clock per request (inverse QPS at the
-//     kernel's fixed concurrency; it also carries ops_per_sec and the
-//     run's cache hit rate)
-//   - cluster-loadgen/*: the same workload through the sharded serving
-//     tier (internal/cluster: one router in front of three workers, all
-//     on loopback), measuring what consistent-hash routing, the tiered
-//     cache, and batch-free request fan-out cost end to end
+// Throughput and latency under concurrent load, single node and through
+// the cluster, are servebench's to measure (BENCHMARK.json): it scales
+// every time to a reference host speed and validates every answer.
 //
 // Instances are drawn from the deterministic corpus families with a fixed
 // seed, so kernel names and workloads are stable across commits; sizes
@@ -38,14 +31,11 @@ package main
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
-	"time"
 
-	"regcoal/internal/cluster"
 	"regcoal/internal/corpus"
 	"regcoal/internal/graph"
 	"regcoal/internal/service"
@@ -257,104 +247,7 @@ func serviceKernels(quick bool) ([]PerfKernel, error) {
 	for _, inst := range insts {
 		post(h, "/v1/coalesce", inst.cacheBody)
 	}
-	out := measureKernels(kernels)
-
-	lg, err := loadgenKernels(svc, insts, quick)
-	if err != nil {
-		return nil, err
-	}
-	out = append(out, lg...)
-
-	cl, err := clusterKernels(insts, quick)
-	if err != nil {
-		return nil, err
-	}
-	return append(out, cl...), nil
-}
-
-// loadgenJobs converts the suite instances into the replayer's job shape.
-func loadgenJobs(insts []serviceInstance) []loadgen.Job {
-	var jobs []loadgen.Job
-	for _, inst := range insts {
-		jobs = append(jobs, loadgen.Job{Name: inst.family, Body: inst.cacheBody, File: inst.file})
-	}
-	return jobs
-}
-
-// loadgenRequests is the replay length: enough passes over the instance
-// set that the cache-hit steady state dominates the cold misses.
-func loadgenRequests(jobs int, quick bool) int {
-	if quick {
-		return 8 * jobs
-	}
-	return 24 * jobs
-}
-
-// runLoadgenKernels fires the replayer at baseURL and packages the report
-// as the four <prefix>/{inv-throughput,mean,p50,p99} kernels.
-// inv-throughput is wall-clock per request (1/QPS at this kernel's fixed
-// concurrency) — deliberately NOT named a latency; mean/p50/p99 are the
-// real per-request latency distribution. The inv-throughput kernel also
-// carries the run's cache hit rate (hits + singleflight collapses over
-// successful requests): a throughput shift with a hit-rate shift is a
-// caching change, not a solver change.
-func runLoadgenKernels(prefix, baseURL string, jobs []loadgen.Job, quick bool) ([]PerfKernel, error) {
-	report, err := loadgen.Run(context.Background(), loadgen.Options{
-		BaseURL:     baseURL,
-		Endpoint:    "coalesce",
-		Concurrency: 8,
-		Requests:    loadgenRequests(len(jobs), quick),
-		Client:      &http.Client{Timeout: 60 * time.Second},
-	}, jobs)
-	if err != nil {
-		return nil, err
-	}
-	if report.Failed > 0 {
-		return nil, fmt.Errorf("perf: %s kernel had %d failed requests: %s", prefix, report.Failed, report.FirstFailure)
-	}
-	hitRate := 0.0
-	if report.OK > 0 {
-		hitRate = round2(float64(report.CacheHits+report.Collapsed) / float64(report.OK))
-	}
-	var phaseNS map[string]float64
-	if len(report.Phases) > 0 {
-		phaseNS = make(map[string]float64, len(report.Phases))
-		for name, p := range report.Phases {
-			phaseNS[name] = float64(p.P50.Nanoseconds())
-		}
-	}
-	return []PerfKernel{
-		{Name: prefix + "/inv-throughput", NsPerOp: float64(report.Wall.Nanoseconds()) / float64(report.Requests),
-			OpsPerSec: round2(report.Throughput()), HitRate: hitRate, PhaseNS: phaseNS},
-		{Name: prefix + "/mean", NsPerOp: float64(report.Latencies.Mean.Nanoseconds())},
-		{Name: prefix + "/p50", NsPerOp: float64(report.Latencies.P50.Nanoseconds())},
-		{Name: prefix + "/p99", NsPerOp: float64(report.Latencies.P99.Nanoseconds())},
-	}, nil
-}
-
-// loadgenKernels runs the concurrent replayer against an in-process HTTP
-// server and reports throughput and latency percentiles as kernels.
-func loadgenKernels(svc *service.Server, insts []serviceInstance, quick bool) ([]PerfKernel, error) {
-	ts := httptest.NewServer(svc.Handler())
-	defer ts.Close()
-	return runLoadgenKernels("svc-loadgen", ts.URL, loadgenJobs(insts), quick)
-}
-
-// clusterWorkers is the shard count of the cluster bench scenario.
-const clusterWorkers = 3
-
-// clusterKernels runs the same replay through the sharded serving tier:
-// one router fronting three workers on loopback, each worker a full
-// service with its own pool and cache. The delta against svc-loadgen/* is
-// the cost of the distribution layer — routing hop, readiness probes, and
-// tiered-cache traffic — under an identical workload.
-func clusterKernels(insts []serviceInstance, quick bool) ([]PerfKernel, error) {
-	c, err := cluster.StartInProcess(clusterWorkers, cluster.InProcessOptions{})
-	if err != nil {
-		return nil, err
-	}
-	defer c.Close()
-	return runLoadgenKernels("cluster-loadgen", c.RouterURL, loadgenJobs(insts), quick)
+	return measureKernels(kernels), nil
 }
 
 // serviceKernelNames lists the service suite's kernel names without
@@ -367,9 +260,6 @@ func serviceKernelNames() []string {
 			names = append(names, "svc-spill/"+f)
 		}
 		names = append(names, "svc-delta/"+f)
-	}
-	for _, prefix := range []string{"svc-loadgen", "cluster-loadgen"} {
-		names = append(names, prefix+"/inv-throughput", prefix+"/mean", prefix+"/p50", prefix+"/p99")
 	}
 	return names
 }

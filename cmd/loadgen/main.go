@@ -153,9 +153,8 @@ func main() {
 		fatal(err)
 	}
 	if *asJSON {
-		// The JSON shape mirrors what the service perf suite records in
-		// BENCH_service.json, so ad-hoc load runs compare directly
-		// against the committed trajectory.
+		// The report's own fields (durations in ns) plus the throughput,
+		// for scripts that compare ad-hoc load runs.
 		body, err := json.MarshalIndent(struct {
 			*loadgen.Report
 			ThroughputRPS float64

@@ -330,8 +330,8 @@ func TestClusterDifferentialByteIdentity(t *testing.T) {
 
 // Malformed solve, batch and delta bodies get the same status, the same
 // body and the same bad_requests increase from a plain service and from
-// a standalone worker: both answer through one pipeline, and each 400
-// is counted once.
+// a worker on a one-node ring: both answer through one pipeline, and
+// each 400 is counted once.
 func TestBadRequestsMatchSingleNode(t *testing.T) {
 	scfg := service.Config{Workers: 2, QueueCap: 16, MaxBatch: 2}
 	single, singleTS := startSingle(t, scfg)
@@ -339,7 +339,7 @@ func TestBadRequestsMatchSingleNode(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	w, err := cluster.NewWorker(svc, cluster.WorkerConfig{})
+	w, err := cluster.NewWorker(svc, cluster.WorkerConfig{Self: "http://w0", Peers: []string{"http://w0"}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -381,17 +381,23 @@ func TestBadRequestsMatchSingleNode(t *testing.T) {
 	}
 }
 
-// A worker given peers but not its own URL is refused: it could neither
-// find its ranges nor replicate, and would serve as a lone node while
-// the router still sent it a shard.
+// A worker without its own URL among its peers is refused: it could
+// neither find its ranges nor replicate, and would serve as a lone node
+// while the router still sent it a shard.
 func TestNewWorkerRefusesPeersWithoutSelf(t *testing.T) {
 	svc, err := service.New(service.Config{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer svc.Close()
-	if _, err := cluster.NewWorker(svc, cluster.WorkerConfig{Peers: []string{"http://w0", "http://w1"}}); err == nil {
-		t.Fatal("NewWorker accepted Peers without Self")
+	for _, cfg := range []cluster.WorkerConfig{
+		{},
+		{Peers: []string{"http://w0", "http://w1"}},
+		{Self: "http://w2", Peers: []string{"http://w0", "http://w1"}},
+	} {
+		if _, err := cluster.NewWorker(svc, cfg); err == nil {
+			t.Errorf("NewWorker accepted self %q with peers %v", cfg.Self, cfg.Peers)
+		}
 	}
 }
 
@@ -629,6 +635,8 @@ func TestAdmissionHeavyLaneRejectsWhenFull(t *testing.T) {
 		t.Fatal(err)
 	}
 	w, err := cluster.NewWorker(svc, cluster.WorkerConfig{
+		Self:      "http://w0",
+		Peers:     []string{"http://w0"},
 		Admission: cluster.AdmissionConfig{HeavySlots: 1, HeavyVertices: 1}, // everything is heavy
 	})
 	if err != nil {

@@ -183,3 +183,42 @@ func TestLargeGraphForwardedWithoutForm(t *testing.T) {
 		}
 	}
 }
+
+// Text, DIMACS, names and trailing-bytes bodies route by the hash the
+// worker computes, not to the fallback shard, and carry that hash's
+// form: each answers byte-identically to a single node, and each form
+// is verified and used, none refused.
+func TestDeclinedBodiesRouteWithForms(t *testing.T) {
+	_, single := startSingle(t, service.Config{})
+	c := startCluster(t, 3, cluster.InProcessOptions{})
+	bodies := []string{
+		`{"graph":{"text":"k 2\nnode a\nnode b\nnode c\nedge a b\nedge b c\nmove a c 3\n"}}`,
+		`{"graph":{"dimacs":"p edge 3 2\nc regcoal k 2\ne 1 2\ne 2 3\n"}}`,
+		`{"graph":{"names":["x","y","z","w"],"edges":[[0,1],[1,2],[2,3]],"moves":[{"x":0,"y":3}],"k":2}}`,
+		`{"graph":{"vertices":4,"edges":[[0,1],[1,2],[2,0]],"moves":[{"x":2,"y":3,"weight":2}],"k":3}} trailing`,
+	}
+	counters := func() (forwarded, rejected int64) {
+		for _, w := range c.Workers {
+			st := w.Service.Registry().Snapshot()
+			forwarded += st.Int("canon_forwarded")
+			rejected += st.Int("canon_forward_rejected")
+		}
+		return forwarded, rejected
+	}
+	fwd0, rej0 := counters()
+	fallback0 := c.Router.Stats().Int("router_fallback")
+	for _, body := range bodies {
+		wantStatus, _, want := post(t, single.URL+"/v1/coalesce", []byte(body))
+		gotStatus, _, got := post(t, c.RouterURL+"/v1/coalesce", []byte(body))
+		if wantStatus != http.StatusOK || gotStatus != wantStatus || !bytes.Equal(got, want) {
+			t.Errorf("%s: router (%d) %s, single node (%d) %s", body, gotStatus, got, wantStatus, want)
+		}
+	}
+	fwd, rej := counters()
+	if fwd-fwd0 != int64(len(bodies)) || rej != rej0 {
+		t.Errorf("workers used %d forwarded forms and refused %d; want %d and 0", fwd-fwd0, rej-rej0, len(bodies))
+	}
+	if n := c.Router.Stats().Int("router_fallback") - fallback0; n != 0 {
+		t.Errorf("%d bodies went to the fallback shard", n)
+	}
+}

@@ -23,9 +23,7 @@ import (
 
 // stampEpoch sets the epoch header from the worker's current view.
 func (w *Worker) stampEpoch(req *http.Request) {
-	if w.topo != nil {
-		req.Header.Set(EpochHeader, fmt.Sprintf("%d", w.topo.Epoch()))
-	}
+	req.Header.Set(EpochHeader, fmt.Sprintf("%d", w.topo.Epoch()))
 }
 
 // checkEpoch validates an inbound internal RPC's epoch against the
@@ -33,9 +31,6 @@ func (w *Worker) stampEpoch(req *http.Request) {
 // this worker's full view, so the sender can reconcile) and returns
 // false; the handler must stop. Header-less requests pass.
 func (w *Worker) checkEpoch(rw http.ResponseWriter, r *http.Request) bool {
-	if w.topo == nil {
-		return true
-	}
 	got, ok := parseEpochHeader(r)
 	if !ok {
 		return true
@@ -90,9 +85,6 @@ func (w *Worker) doEpochRequest(peer string, build func() (*http.Request, error)
 // handoff for the ranges it lost); if this worker's view is newer, push
 // it to the peer so the next attempt lands on a current receiver.
 func (w *Worker) reconcileEpoch(peer string, se *staleEpoch) {
-	if w.topo == nil {
-		return
-	}
 	view := w.topo.View()
 	if se.Topology.Epoch > view.Epoch {
 		w.adoptTopology(se.Topology.Epoch, se.Topology.Nodes)
@@ -129,9 +121,6 @@ func (w *Worker) pushTopology(peer string, view *TopologyView) {
 // the bounded read fallback while this worker streams its reassigned
 // cache entries and sessions to their new owners.
 func (w *Worker) adoptTopology(epoch uint64, nodes []string) {
-	if w.topo == nil {
-		return
-	}
 	old, installed, changed := w.topo.Adopt(epoch, nodes)
 	if !changed {
 		return
@@ -145,10 +134,6 @@ func (w *Worker) adoptTopology(epoch uint64, nodes []string) {
 // full {epoch, nodes} view. Equal epochs are an idempotent no-op; a
 // lower epoch gets the structured 409 so the stale broadcaster heals.
 func (w *Worker) handleInternalTopology(rw http.ResponseWriter, r *http.Request) {
-	if w.topo == nil {
-		w.writeError(rw, http.StatusNotFound, "not clustered")
-		return
-	}
 	switch r.Method {
 	case http.MethodGet:
 		w.writeJSON(rw, http.StatusOK, w.topo.View().Wire())

@@ -63,16 +63,15 @@ func (w *Worker) startHandoff(old, next *TopologyView) {
 // what still fails is counted and abandoned (the read fallback plus
 // future peer fills and session rebuilds cover the gap).
 func (w *Worker) runHandoff(old, next *TopologyView) {
-	r := w.replicaCount()
 	var pending []handoffPush
 	for _, key := range w.svc.CacheKeys() {
 		hash := service.KeyRoutingHash(key)
-		for _, peer := range w.movedOwners(old, next, hash, r) {
+		for _, peer := range w.movedOwners(old, next, hash, w.cfg.Replicas) {
 			pending = append(pending, handoffPush{peer: peer, key: key})
 		}
 	}
 	for _, rec := range w.svc.Sessions().Logs() {
-		for _, peer := range w.movedOwners(old, next, rec.BaseHash, r) {
+		for _, peer := range w.movedOwners(old, next, rec.BaseHash, w.cfg.Replicas) {
 			pending = append(pending, handoffPush{peer: peer, rec: rec})
 		}
 	}

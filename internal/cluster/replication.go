@@ -32,11 +32,9 @@ import (
 // ship to that peer failed.
 func (w *Worker) replicaLag(emit func(string, int64)) {
 	counts := w.svc.Sessions().ReplicaLag()
-	if w.topo != nil {
-		for _, peer := range w.topo.View().Nodes {
-			if _, ok := counts[peer]; !ok && peer != w.cfg.Self {
-				counts[peer] = 0
-			}
+	for _, peer := range w.topo.View().Nodes {
+		if _, ok := counts[peer]; !ok && peer != w.cfg.Self {
+			counts[peer] = 0
 		}
 	}
 	for peer, n := range counts {
@@ -51,10 +49,7 @@ func (w *Worker) replicaLag(emit func(string, int64)) {
 // client has seen success a primary death is always recoverable from a
 // secondary's log.
 func (w *Worker) SessionLogged(rec *session.ExportRecord) {
-	if w.topo == nil {
-		return
-	}
-	for _, peer := range w.topo.View().Ring.Replicas(rec.BaseHash, w.replicaCount()) {
+	for _, peer := range w.topo.View().Ring.Replicas(rec.BaseHash, w.cfg.Replicas) {
 		if peer == w.cfg.Self {
 			continue
 		}

@@ -24,15 +24,16 @@ import (
 
 	"regcoal/internal/obs"
 	"regcoal/internal/service"
+	"regcoal/internal/singleflight"
 )
 
-// Router is the cluster's front door. It owns no solver: it decodes just
-// enough of each request to compute the canonical routing hash, forwards
-// the original body verbatim to the owning worker, and copies the
-// worker's response verbatim back. A native solve or create body also
-// carries the canonical form the router computed, on the
-// service.CanonHeader request header, so the worker verifies it instead
-// of canonicalizing again. Requests that cannot be canonicalized
+// Router is the cluster's front door. It owns no solver: it reads each
+// request with the worker's own decoders to compute the canonical
+// routing hash, forwards the original body verbatim to the owning
+// worker, and copies the worker's response verbatim back. A solve or
+// create body also carries the canonical form the router computed, on
+// the service.CanonHeader request header, so the worker verifies it
+// instead of canonicalizing again. Requests that cannot be canonicalized
 // (parse errors, missing register counts, oversize graphs) go to the
 // deterministic fallback shard — ring owner of the empty key — whose
 // worker reproduces the exact single-node error body.
@@ -68,7 +69,7 @@ type Router struct {
 
 	readyMu sync.Mutex
 	ready   map[string]readyState
-	probeMu map[string]*sync.Mutex // per-node probe singleflight; grown lazily
+	probes  singleflight.Group // one readiness probe in flight per node
 
 	jitterMu sync.Mutex
 	jitter   *rand.Rand
@@ -158,23 +159,30 @@ func NewRouter(cfg RouterConfig) (*Router, error) {
 		return nil, fmt.Errorf("cluster: router needs at least one worker")
 	}
 	r := &Router{
-		cfg:     cfg,
-		topo:    NewTopology(cfg.Workers),
-		client:  cfg.Client,
-		mux:     http.NewServeMux(),
-		ids:     obs.NewTracer(1, 1, time.Hour),
-		ready:   make(map[string]readyState),
-		probeMu: make(map[string]*sync.Mutex, len(cfg.Workers)),
-		jitter:  rand.New(rand.NewSource(hashSeed(cfg.Workers))),
+		cfg:    cfg,
+		topo:   NewTopology(cfg.Workers),
+		client: cfg.Client,
+		mux:    http.NewServeMux(),
+		ids:    obs.NewTracer(1, 1, time.Hour),
+		ready:  make(map[string]readyState),
+		jitter: rand.New(rand.NewSource(hashSeed(cfg.Workers))),
 	}
 	r.declareMetrics()
 	if r.client == nil {
 		r.client = &http.Client{Timeout: 60 * time.Second}
 	}
-	r.mux.HandleFunc("/v1/coalesce", r.handleProxy)
-	r.mux.HandleFunc("/v1/allocate", r.handleProxy)
-	r.mux.HandleFunc("/v1/spill", r.handleProxy)
-	r.mux.HandleFunc("/v1/coalesce/delta", r.handleDelta)
+	solve := r.handleProxy(service.RouteKey, true)
+	r.mux.HandleFunc("/v1/coalesce", solve)
+	r.mux.HandleFunc("/v1/allocate", solve)
+	r.mux.HandleFunc("/v1/spill", solve)
+	// No hedging for the session endpoint: a delta batch is not
+	// idempotent, and a hedged duplicate landing on a replica could
+	// rebuild and apply the session divergently. Retries stay on — a
+	// transport failure means the primary never answered, and the next
+	// replica rebuilds from the replicated log; a duplicate of an
+	// already-applied versioned batch is caught by the optimistic-
+	// concurrency guard (409).
+	r.mux.HandleFunc("/v1/coalesce/delta", r.handleProxy(service.DeltaRouteKey, false))
 	r.mux.HandleFunc("/v1/batch", r.handleBatch)
 	r.mux.HandleFunc("/internal/topology", r.handleTopology)
 	r.mux.HandleFunc("/healthz", r.handleLivez)
@@ -298,28 +306,35 @@ func (r *Router) broadcastTopology(old, next *TopologyView) {
 	wg.Wait()
 }
 
-// handleProxy serves the three single-solve endpoints: hash, pick the
-// owner, forward verbatim. The key is "" for anything that must go to the
-// fallback shard; the worker's strict decode of the verbatim body is what
-// produces error responses, so they stay byte-identical to single-node.
-func (r *Router) handleProxy(rw http.ResponseWriter, req *http.Request) {
-	if req.Method != http.MethodPost {
-		r.writeError(rw, http.StatusMethodNotAllowed, "POST required")
-		return
+// handleProxy serves a proxied endpoint: read the body, key it with
+// routeKey, pick the owner, forward verbatim (hedged when hedge is set).
+// The solve endpoints key by the canonical hash of the graph; the
+// session endpoint keys a create the same way (the base_hash the worker
+// mints) and every other op by the base_hash it echoes, so a session
+// stays on the shard that owns it. The key is "" for anything that must
+// go to the fallback shard; the worker's decode of the verbatim body is
+// what produces error responses, so they stay byte-identical to
+// single-node.
+func (r *Router) handleProxy(routeKey func(body []byte, maxVertices int) (key, form string), hedge bool) http.HandlerFunc {
+	return func(rw http.ResponseWriter, req *http.Request) {
+		if req.Method != http.MethodPost {
+			r.writeError(rw, http.StatusMethodNotAllowed, "POST required")
+			return
+		}
+		r.proxied.Add(1)
+		traceID := r.traceID(req)
+		rw.Header().Set(service.TraceIDHeader, traceID)
+		body, err := io.ReadAll(http.MaxBytesReader(rw, req.Body, service.MaxBodyBytes))
+		if err != nil {
+			r.writeError(rw, http.StatusBadRequest, fmt.Sprintf("reading request: %v", err))
+			return
+		}
+		key, form := routeKey(body, r.cfg.MaxVertices)
+		if key == "" {
+			r.fallback.Add(1)
+		}
+		r.forward(rw, req, key, form, body, traceID, hedge)
 	}
-	r.proxied.Add(1)
-	traceID := r.traceID(req)
-	rw.Header().Set(service.TraceIDHeader, traceID)
-	body, err := io.ReadAll(http.MaxBytesReader(rw, req.Body, service.MaxBodyBytes))
-	if err != nil {
-		r.writeError(rw, http.StatusBadRequest, fmt.Sprintf("reading request: %v", err))
-		return
-	}
-	key, form := service.RouteKey(body, r.cfg.MaxVertices)
-	if key == "" {
-		r.fallback.Add(1)
-	}
-	r.forward(rw, req, key, form, body, traceID, true)
 }
 
 // traceID adopts the client's X-Regcoal-Trace-Id when valid, otherwise
@@ -330,38 +345,6 @@ func (r *Router) traceID(req *http.Request) string {
 		return id.String()
 	}
 	return r.ids.NewID().String()
-}
-
-// handleDelta serves the session endpoint: route by the session's base
-// graph hash so every operation of a session lands on the shard that
-// owns it. A create request hashes the base graph itself (the same hash
-// the worker mints as base_hash); delta and close requests must echo
-// base_hash to stay shard-sticky — without it they route to the fallback
-// shard, whose worker answers 404 unless it happens to own the session.
-func (r *Router) handleDelta(rw http.ResponseWriter, req *http.Request) {
-	if req.Method != http.MethodPost {
-		r.writeError(rw, http.StatusMethodNotAllowed, "POST required")
-		return
-	}
-	r.proxied.Add(1)
-	traceID := r.traceID(req)
-	rw.Header().Set(service.TraceIDHeader, traceID)
-	body, err := io.ReadAll(http.MaxBytesReader(rw, req.Body, service.MaxBodyBytes))
-	if err != nil {
-		r.writeError(rw, http.StatusBadRequest, fmt.Sprintf("reading request: %v", err))
-		return
-	}
-	key, form := service.DeltaRouteKey(body, r.cfg.MaxVertices)
-	if key == "" {
-		r.fallback.Add(1)
-	}
-	// No hedging here: a delta batch is not idempotent, and a hedged
-	// duplicate landing on a replica could rebuild and apply the session
-	// divergently. Retries stay on — a transport failure means the
-	// primary never answered, and the next replica rebuilds from the
-	// replicated log; a duplicate of an already-applied versioned batch
-	// is caught by the optimistic-concurrency guard (409).
-	r.forward(rw, req, key, form, body, traceID, false)
 }
 
 // forward sends body to key's replica set under the retry budget and
@@ -568,35 +551,27 @@ func hashSeed(nodes []string) int64 {
 
 // isReady consults the cached readiness of node, probing /readyz when
 // the cache entry is stale. A draining worker answers 503 and is skipped
-// until its probe recovers. The probe itself is singleflighted per
-// node: when a stale entry is hit by many concurrent requests, exactly
-// one of them probes and the rest reuse its fresh result — at most one
-// probe per peer per ReadyTTL window, no thundering herd on the
-// failover path.
+// until its probe recovers. Probes collapse per node: when a stale entry
+// is hit by many concurrent requests, exactly one of them probes and the
+// rest share its result — at most one probe per peer per ReadyTTL
+// window, no thundering herd on the failover path.
 func (r *Router) isReady(node string) bool {
 	if ok, fresh := r.readyCached(node); fresh {
 		return ok
 	}
-	r.readyMu.Lock()
-	mu := r.probeMu[node]
-	if mu == nil {
-		// First probe of a node (including ones that joined after
-		// construction): create its singleflight lock on demand.
-		mu = &sync.Mutex{}
-		r.probeMu[node] = mu
-	}
-	r.readyMu.Unlock()
-	mu.Lock()
-	defer mu.Unlock()
-	// Re-check: the probe that held the lock first has refreshed the
-	// cache for everyone who queued behind it.
-	if ok, fresh := r.readyCached(node); fresh {
-		return ok
-	}
-	ready := r.probe(node)
-	r.readyMu.Lock()
-	r.ready[node] = readyState{ok: ready, at: time.Now()}
-	r.readyMu.Unlock()
+	v, _, _ := r.probes.Do(node, func() (any, error) {
+		// A probe that finished after the check above has refreshed
+		// the cache for everyone.
+		if ok, fresh := r.readyCached(node); fresh {
+			return ok, nil
+		}
+		ready := r.probe(node)
+		r.readyMu.Lock()
+		r.ready[node] = readyState{ok: ready, at: time.Now()}
+		r.readyMu.Unlock()
+		return ready, nil
+	})
+	ready, _ := v.(bool)
 	return ready
 }
 
@@ -667,18 +642,8 @@ func (r *Router) handleBatch(rw http.ResponseWriter, req *http.Request) {
 		r.writeError(rw, http.StatusBadRequest, fmt.Sprintf("reading request: %v", err))
 		return
 	}
-	var breq service.BatchSolveRequest
-	dec := json.NewDecoder(bytes.NewReader(body))
-	dec.DisallowUnknownFields()
-	if derr := dec.Decode(&breq); derr != nil {
-		r.forward(rw, req, "", "", body, traceID, true)
-		return
-	}
-	if _, kerr := service.ParseKind(breq.Kind); kerr != nil {
-		r.forward(rw, req, "", "", body, traceID, true)
-		return
-	}
-	if len(breq.Items) == 0 || len(breq.Items) > r.cfg.MaxBatch {
+	breq, _, err := service.DecodeBatch(bytes.NewReader(body), r.cfg.MaxBatch)
+	if err != nil {
 		r.forward(rw, req, "", "", body, traceID, true)
 		return
 	}

@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 	"net/url"
+	"slices"
 	"sync/atomic"
 	"time"
 
@@ -50,7 +51,7 @@ func setTraceHeader(req *http.Request, tr *obs.Trace) {
 type Worker struct {
 	svc    *service.Server
 	cfg    WorkerConfig
-	topo   *Topology // nil when Self is empty (single-node behavior)
+	topo   *Topology
 	adm    *Admission
 	client *http.Client
 	mux    *http.ServeMux
@@ -83,8 +84,7 @@ type Worker struct {
 // URLs the router's config does.
 type WorkerConfig struct {
 	// Self is this worker's base URL as it appears in Peers (and in the
-	// router's worker list). Empty, with no Peers, is single-node
-	// behavior: no tiered cache, no replication.
+	// router's worker list). Required.
 	Self string
 	// Peers lists every worker's base URL, including Self.
 	Peers []string
@@ -103,33 +103,23 @@ type WorkerConfig struct {
 }
 
 // NewWorker makes svc a cluster shard, installing the worker as its
-// tier. Peers without Self is refused: the worker could neither find
-// its own ranges nor replicate, and would serve as a lone node.
+// tier. Self must be one of Peers: without it the worker could neither
+// find its own ranges nor replicate. A one-node ring (Self alone in
+// Peers) consults only itself.
 func NewWorker(svc *service.Server, cfg WorkerConfig) (*Worker, error) {
-	if cfg.Self == "" && len(cfg.Peers) > 0 {
-		return nil, fmt.Errorf("cluster: peer list %v given without self", cfg.Peers)
+	if cfg.Self == "" || !slices.Contains(cfg.Peers, cfg.Self) {
+		return nil, fmt.Errorf("cluster: self %q not in peer list %v", cfg.Self, cfg.Peers)
 	}
-	if cfg.Self != "" {
-		found := false
-		for _, p := range cfg.Peers {
-			if p == cfg.Self {
-				found = true
-				break
-			}
-		}
-		if !found {
-			return nil, fmt.Errorf("cluster: self %q not in peer list %v", cfg.Self, cfg.Peers)
-		}
+	if cfg.Replicas <= 0 {
+		cfg.Replicas = DefaultReplicas
 	}
 	w := &Worker{
 		svc:    svc,
 		cfg:    cfg,
+		topo:   NewTopology(cfg.Peers),
 		adm:    NewAdmission(cfg.Admission),
 		client: cfg.Client,
 		mux:    http.NewServeMux(),
-	}
-	if cfg.Self != "" {
-		w.topo = NewTopology(cfg.Peers)
 	}
 	if w.client == nil {
 		w.client = &http.Client{Timeout: 2 * time.Second}
@@ -165,9 +155,7 @@ func (w *Worker) declareMetrics(r *obs.Registry) {
 	r.Counter("regcoal_handoff_rounds_total", "Topology changes that ran a handoff stream.", w.handoffRounds.Load)
 	r.Gauge("regcoal_handoff_active", "Handoff streams currently running.", w.handoffActive.Load)
 	r.Gauge("regcoal_session_logs", "Session op logs held, live or dormant, for rebuild or migration.", func() int64 { return int64(len(w.svc.Sessions().Logs())) })
-	if w.topo != nil {
-		r.Gauge("regcoal_topology_epoch", "Current cluster membership epoch.", func() int64 { return int64(w.topo.View().Epoch) })
-	}
+	r.Gauge("regcoal_topology_epoch", "Current cluster membership epoch.", func() int64 { return int64(w.topo.View().Epoch) })
 	r.GaugeVec("regcoal_session_replica_lag", "Sessions held here whose last op-log ship to the peer failed.", "peer", w.replicaLag)
 	r.CounterVec("regcoal_cluster_lane_rejects_total", "Admission rejections per lane.", "lane", func(emit func(string, int64)) {
 		emit("fast", w.laneRejects[LaneFast].Load())
@@ -179,23 +167,8 @@ func (w *Worker) declareMetrics(r *obs.Registry) {
 	})
 }
 
-// Topology exposes the worker's membership object (nil when not
-// clustered).
-func (w *Worker) Topology() *Topology { return w.topo }
-
-// replicaCount is the effective replica-set size.
-func (w *Worker) replicaCount() int {
-	if w.cfg.Replicas > 0 {
-		return w.cfg.Replicas
-	}
-	return DefaultReplicas
-}
-
 // ServeHTTP implements http.Handler.
 func (w *Worker) ServeHTTP(rw http.ResponseWriter, r *http.Request) { w.mux.ServeHTTP(rw, r) }
-
-// Service exposes the wrapped server (tests, embedding).
-func (w *Worker) Service() *service.Server { return w.svc }
 
 // Admit implements service.Tier: a single solve about to compute is
 // classified fast/heavy by size and takes a slot in its lane; a full
@@ -220,13 +193,10 @@ func (w *Worker) Admit(p *service.Prepared) (func(), error) {
 // request's trace ID (when tr is non-nil) rides each lookup so the hops
 // are attributable to their cluster request.
 func (w *Worker) Fill(p *service.Prepared, tr *obs.Trace) bool {
-	if w.topo == nil {
-		return false
-	}
 	tried := map[string]bool{w.cfg.Self: true}
-	owners := w.topo.View().Ring.Replicas(p.Hash(), w.replicaCount())
+	owners := w.topo.View().Ring.Replicas(p.Hash(), w.cfg.Replicas)
 	if prev := w.prev.Load(); prev != nil {
-		owners = append(append([]string(nil), owners...), prev.Ring.Replicas(p.Hash(), w.replicaCount())...)
+		owners = append(append([]string(nil), owners...), prev.Ring.Replicas(p.Hash(), w.cfg.Replicas)...)
 	}
 	for _, owner := range owners {
 		if tried[owner] {
@@ -284,14 +254,11 @@ func (w *Worker) peerFillFrom(owner string, p *service.Prepared, tr *obs.Trace) 
 // (read-your-writes). Synchronous and best-effort: a failed push costs a
 // future peer-fill miss, nothing else.
 func (w *Worker) Computed(p *service.Prepared, tr *obs.Trace) {
-	if w.topo == nil {
-		return
-	}
 	data, ok := w.svc.CachePeek(p.Key())
 	if !ok {
 		return
 	}
-	for _, owner := range w.topo.View().Ring.Replicas(p.Hash(), w.replicaCount()) {
+	for _, owner := range w.topo.View().Ring.Replicas(p.Hash(), w.cfg.Replicas) {
 		if owner == w.cfg.Self {
 			continue
 		}

@@ -15,21 +15,23 @@ import (
 // mutex + map + intrusive LRU list.
 
 // entry is a cached solution in canonical vertex numbering. Entries are
-// immutable once stored: readers render them without locks.
+// immutable once stored: readers render them without locks. Its JSON
+// form is the cluster's cache-entry wire format (wire.go): the field
+// order and tags fix the bytes peers exchange.
 type entry struct {
-	classes  [][]int // coalescing classes, canonical ids, sorted
-	coloring []int   // per canonical vertex, nil when absent
-	spilled  []int   // canonical ids (allocate only), sorted
+	Classes  [][]int `json:"classes,omitempty"`  // coalescing classes, canonical ids, sorted
+	Coloring []int   `json:"coloring,omitempty"` // per canonical vertex, nil when absent
+	Spilled  []int   `json:"spilled,omitempty"`  // canonical ids (allocate and spill), sorted
 
-	strategy        string
-	coalescedMoves  int
-	coalescedWeight int64
-	remainingWeight int64
-	colorable       bool
-	spills          int
-	spillCost       int64 // spill endpoint only
-	optimal         bool  // spill endpoint only
-	deadlineHit     bool
+	Strategy        string `json:"strategy"`
+	CoalescedMoves  int    `json:"coalesced_moves,omitempty"`
+	CoalescedWeight int64  `json:"coalesced_weight,omitempty"`
+	RemainingWeight int64  `json:"remaining_weight,omitempty"`
+	Colorable       bool   `json:"colorable,omitempty"`
+	Spills          int    `json:"spills,omitempty"`
+	SpillCost       int64  `json:"spill_cost,omitempty"` // spill endpoint only
+	Optimal         bool   `json:"optimal,omitempty"`    // spill endpoint only
+	DeadlineHit     bool   `json:"deadline_hit,omitempty"`
 }
 
 type cacheShard struct {
@@ -115,7 +117,7 @@ func (c *Cache) Put(key string, val *entry) {
 	defer s.mu.Unlock()
 	if el, ok := s.items[key]; ok {
 		item := el.Value.(*cacheItem)
-		if !(val.deadlineHit && !item.val.deadlineHit) {
+		if !(val.DeadlineHit && !item.val.DeadlineHit) {
 			item.val = val
 		}
 		s.ll.MoveToFront(el)

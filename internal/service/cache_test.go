@@ -10,7 +10,7 @@ import (
 func TestCacheLRUEviction(t *testing.T) {
 	c := NewCache(4, 1) // one shard of 4 for deterministic eviction
 	for i := 0; i < 6; i++ {
-		c.Put(fmt.Sprintf("k%d", i), &entry{strategy: fmt.Sprintf("s%d", i)})
+		c.Put(fmt.Sprintf("k%d", i), &entry{Strategy: fmt.Sprintf("s%d", i)})
 	}
 	if c.Len() != 4 {
 		t.Fatalf("cache holds %d entries, want 4", c.Len())
@@ -43,10 +43,10 @@ func TestCacheGetRefreshesRecency(t *testing.T) {
 
 func TestCachePutReplaces(t *testing.T) {
 	c := NewCache(8, 2)
-	c.Put("k", &entry{strategy: "old"})
-	c.Put("k", &entry{strategy: "new"})
+	c.Put("k", &entry{Strategy: "old"})
+	c.Put("k", &entry{Strategy: "new"})
 	e, ok := c.Get("k")
-	if !ok || e.strategy != "new" {
+	if !ok || e.Strategy != "new" {
 		t.Fatalf("got %+v, want replaced entry", e)
 	}
 	if c.Len() != 1 {
@@ -70,18 +70,18 @@ func TestCacheDisabled(t *testing.T) {
 // change what later hits observe.
 func TestCacheGetReturnsCopy(t *testing.T) {
 	c := NewCache(8, 1)
-	c.Put("k", &entry{strategy: "winner", spills: 3})
+	c.Put("k", &entry{Strategy: "winner", Spills: 3})
 	e1, ok := c.Get("k")
 	if !ok {
 		t.Fatal("miss")
 	}
-	e1.strategy = "tampered"
-	e1.spills = 99
+	e1.Strategy = "tampered"
+	e1.Spills = 99
 	e2, ok := c.Get("k")
 	if !ok {
 		t.Fatal("miss after tamper")
 	}
-	if e2.strategy != "winner" || e2.spills != 3 {
+	if e2.Strategy != "winner" || e2.Spills != 3 {
 		t.Fatalf("cache record mutated through a Get copy: %+v", e2)
 	}
 }
@@ -111,10 +111,10 @@ func TestCacheConcurrentStress(t *testing.T) {
 				key := fmt.Sprintf("k%d", k)
 				switch rng.Intn(3) {
 				case 0:
-					c.Put(key, &entry{strategy: fmt.Sprintf("s%d", k), spills: k})
+					c.Put(key, &entry{Strategy: fmt.Sprintf("s%d", k), Spills: k})
 				case 1:
 					if e, ok := c.Get(key); ok {
-						if e.strategy != fmt.Sprintf("s%d", k) || e.spills != k {
+						if e.Strategy != fmt.Sprintf("s%d", k) || e.Spills != k {
 							select {
 							case torn <- fmt.Sprintf("key %s got %+v", key, e):
 							default:

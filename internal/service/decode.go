@@ -11,9 +11,9 @@ package service
 // after the top-level object; and a graph nativeGraph builds without
 // error. On any other byte it declines, and the caller decodes the body
 // exactly as it did before the scanner existed: strict encoding/json
-// plus ToFile on a worker, lenient json.Unmarshal plus RoutingHash on a
-// router. So every error body and every routing decision is the old
-// code's by construction.
+// plus ToFile. So every error body is the old code's by construction.
+// A cluster router reads a body with these same decoders (RouteKey,
+// DeltaRouteKey), so it routes by the hash the worker computes.
 
 import (
 	"bytes"
@@ -71,42 +71,39 @@ func decodeDelta(body []byte, maxVertices int) (DeltaRequest, *graph.File, error
 }
 
 // RouteKey maps a /v1/{coalesce,allocate,spill} body to the key a cluster
-// router shards it by — RoutingHash of the body's request, or "" when it
-// cannot be canonicalized and goes to the fallback shard — and to the
-// CanonHeader value that forwards the key's canonical form. form is ""
-// when the scanner declined the body (the fallback computes only a
-// hash) or the form is over the header bound.
+// router shards it by, and to the CanonHeader value that forwards the
+// key's canonical form. It reads the body with the worker's own decode
+// (decodeSolve, then ToFile when the scanner declined), so the key is
+// the canonical hash the worker will compute. key is "" when the worker
+// answers 400 without canonicalizing (a decode or graph error, or no
+// register count): such a body goes to the fallback shard. form is ""
+// with no key, or when it is over the header bound.
 func RouteKey(body []byte, maxVertices int) (key, form string) {
-	if req, f, ok := scanSolve(body, maxVertices); ok {
-		return keyAndForm(routeForm(f, req.K))
+	req, f, err := decodeSolve(body, maxVertices)
+	if err == nil && f == nil && req.Graph != nil {
+		f, err = req.Graph.ToFile(maxVertices)
 	}
-	var req Request
-	if err := json.Unmarshal(body, &req); err != nil {
+	if err != nil || f == nil {
 		return "", ""
 	}
-	return RoutingHash(&req, maxVertices), ""
+	return keyAndForm(routeForm(f, req.K))
 }
 
 // DeltaRouteKey maps a /v1/coalesce/delta body to its routing key and
-// CanonHeader value, as RouteKey does: base_hash verbatim when present
-// (no form), else (a create) the canonical hash of the carried graph —
-// the base_hash the worker will mint, so the create lands where its
-// deltas will.
+// CanonHeader value through the worker's own decode (decodeDelta). A
+// create routes by the canonical hash of its graph — the base_hash the
+// worker will mint, so the create lands where its deltas will — with its
+// form. Any other op routes by the base_hash it echoes (no form), or to
+// the fallback shard without one, as does a body the worker refuses.
 func DeltaRouteKey(body []byte, maxVertices int) (key, form string) {
-	if k, f, ok := scanCreate(body, maxVertices); ok {
-		return keyAndForm(routeForm(f, k))
-	}
-	var req DeltaRequest
-	if err := json.Unmarshal(body, &req); err != nil {
+	req, f, err := decodeDelta(body, maxVertices)
+	switch {
+	case err != nil:
 		return "", ""
+	case req.Op == "create":
+		return keyAndForm(routeForm(f, req.K))
 	}
-	if req.BaseHash != "" {
-		return req.BaseHash, ""
-	}
-	if req.Graph == nil {
-		return "", ""
-	}
-	return RoutingHash(&Request{Graph: req.Graph, K: req.K}, maxVertices), ""
+	return req.BaseHash, ""
 }
 
 // scanSolve scans a solve body; ok is false when the scanner declines.

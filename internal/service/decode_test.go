@@ -2,9 +2,11 @@ package service_test
 
 // Differential tests for the one-pass native decoder (decode.go): whenever
 // the scanner accepts a body, the encoding/json path it stands in for
-// must accept the body too and read the same request, the same graph and
-// the same routing key from it. A body the scanner declines takes that
-// path itself, so its answer is the old one by construction.
+// must accept the body too and read the same request and the same graph
+// from it. A body the scanner declines takes that path itself, so its
+// answer is the old one by construction. And for every body, a cluster
+// router's key and form (RouteKey, DeltaRouteKey) must be what the
+// worker's own reading of the body gives.
 
 import (
 	"bytes"
@@ -188,11 +190,13 @@ func FuzzDecodeRequest(f *testing.F) {
 	f.Fuzz(func(t *testing.T, body []byte) {
 		checkSolveDecode(t, body)
 		checkCreateDecode(t, body)
+		checkSolveRoute(t, body)
+		checkDeltaRoute(t, body)
 	})
 }
 
 // checkSolveDecode compares an accepted solve body with the strict
-// decode the worker falls back to and the lenient one the router does.
+// decode the worker falls back to.
 func checkSolveDecode(t *testing.T, body []byte) {
 	req, f, ok := service.ScanSolve(body, fuzzMaxVertices)
 	if !ok {
@@ -217,15 +221,81 @@ func checkSolveDecode(t *testing.T, body []byte) {
 			body, req.K, req.DeadlineMS, req.NoCache, req.Strategies, want.K, want.DeadlineMS, want.NoCache, want.Strategies)
 	}
 	sameFile(t, body, f, wf)
-	var lenient service.Request
-	if err := json.Unmarshal(body, &lenient); err != nil {
-		t.Fatalf("scanner accepted %q, json.Unmarshal: %v", body, err)
+}
+
+// strictDecode is the worker's reading of a body: a strict decode into
+// req, then ToFile of the graph spec() returns. ok reports the decode; f
+// is nil when there is no graph or ToFile refuses it.
+func strictDecode(body []byte, req any, spec func() *service.GraphSpec) (f *graph.File, ok bool) {
+	dec := json.NewDecoder(bytes.NewReader(body))
+	dec.DisallowUnknownFields()
+	if dec.Decode(req) != nil {
+		return nil, false
+	}
+	if g := spec(); g != nil {
+		if gf, err := g.ToFile(fuzzMaxVertices); err == nil {
+			f = gf
+		}
+	}
+	return f, true
+}
+
+// canonHash is the hash the worker canonicalizes f to under the
+// request's k override, or "" when no register count is set.
+func canonHash(f *graph.File, reqK int) string {
+	k := f.K
+	if reqK > 0 {
+		k = reqK
+	}
+	if k <= 0 {
+		return ""
+	}
+	return graph.CanonicalForm(&graph.File{G: f.G, K: k}).Hash
+}
+
+// checkSolveRoute requires the router's key for any solve body to be the
+// hash the worker's strict decode and ToFile give, and its form to
+// verify against that graph.
+func checkSolveRoute(t *testing.T, body []byte) {
+	var req service.Request
+	wf, _ := strictDecode(body, &req, func() *service.GraphSpec { return req.Graph })
+	want := ""
+	if wf != nil {
+		want = canonHash(wf, req.K)
 	}
 	got, form := service.RouteKey(body, fuzzMaxVertices)
-	if want := service.RoutingHash(&lenient, fuzzMaxVertices); got != want {
-		t.Fatalf("%q: routing key %q, lenient decode %q", body, got, want)
+	if got != want {
+		t.Fatalf("%q: routing key %q, the worker's decode %q", body, got, want)
 	}
-	checkForm(t, body, got, form, wf, want.K)
+	checkForm(t, body, got, form, wf, req.K)
+}
+
+// checkDeltaRoute requires the router's key for any delta body to be
+// what the worker's strict decode gives: a create's graph hash with its
+// form, any other op's base_hash with no form, and "" for a body the
+// worker refuses.
+func checkDeltaRoute(t *testing.T, body []byte) {
+	var req service.DeltaRequest
+	wf, ok := strictDecode(body, &req, func() *service.GraphSpec { return req.Graph })
+	got, form := service.DeltaRouteKey(body, fuzzMaxVertices)
+	if ok && req.Op == "create" {
+		want := ""
+		if wf != nil {
+			want = canonHash(wf, req.K)
+		}
+		if got != want {
+			t.Fatalf("%q: create routing key %q, the worker's decode %q", body, got, want)
+		}
+		checkForm(t, body, got, form, wf, req.K)
+		return
+	}
+	want := ""
+	if ok {
+		want = req.BaseHash
+	}
+	if got != want || form != "" {
+		t.Fatalf("%q: routing key %q form %q, want %q and no form", body, got, form, want)
+	}
 }
 
 // checkForm requires the router's CanonHeader value for key to verify
@@ -271,16 +341,6 @@ func checkCreateDecode(t *testing.T, body []byte) {
 		t.Fatalf("%q: scanned k=%d, encoding/json k=%d", body, k, want.K)
 	}
 	sameFile(t, body, f, wf)
-	var lenient service.DeltaRequest
-	if err := json.Unmarshal(body, &lenient); err != nil {
-		t.Fatalf("scanner accepted create %q, json.Unmarshal: %v", body, err)
-	}
-	wantKey := service.RoutingHash(&service.Request{Graph: lenient.Graph, K: lenient.K}, fuzzMaxVertices)
-	got, form := service.DeltaRouteKey(body, fuzzMaxVertices)
-	if got != wantKey || lenient.BaseHash != "" {
-		t.Fatalf("%q: routing key %q, lenient decode %q (base_hash %q)", body, got, wantKey, lenient.BaseHash)
-	}
-	checkForm(t, body, got, form, wf, want.K)
 }
 
 // sameFile requires two decodes of body to have built the same instance.
@@ -323,6 +383,57 @@ func TestDecodeDeclinesAndAccepts(t *testing.T) {
 	for i, b := range hotBodies(t) {
 		if _, _, ok := service.ScanSolve(b, fuzzMaxVertices); !ok {
 			t.Errorf("scanner declined hot body %d", i)
+		}
+	}
+}
+
+// A router keys a body by the hash the worker's answer carries, also
+// for bodies only the worker's strict decode reads (trailing bytes
+// after the object, a stray base_hash on a create) and for text, DIMACS
+// and names graphs, and forwards the form of that hash.
+func TestRouteKeyIsTheWorkersHash(t *testing.T) {
+	_, ts := startService(t, service.Config{})
+	const g = `{"vertices":3,"edges":[[0,1],[1,2]],"moves":[{"x":0,"y":2}],"k":2}`
+	for _, tc := range []struct{ path, body string }{
+		{"/v1/coalesce", `{"graph":` + g + `} trailing`},
+		{"/v1/coalesce", `{"graph":` + g + `}{}`},
+		{"/v1/allocate", `{"graph":{"names":["a","b","c"],"edges":[[0,1],[1,2]],"k":2}}`},
+		{"/v1/spill", `{"graph":{"text":"k 2\nnode a\nnode b\nedge a b\n"}}`},
+		{"/v1/coalesce", `{"graph":{"dimacs":"p edge 2 1\nc regcoal k 2\ne 1 2\n"}}`},
+		{"/v1/coalesce/delta", `{"op":"create","graph":` + g + `} trailing`},
+		{"/v1/coalesce/delta", `{"op":"create","graph":` + g + `,"base_hash":"abc"}`},
+	} {
+		resp, err := http.Post(ts.URL+tc.path, "application/json", strings.NewReader(tc.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var answer struct {
+			Hash     string `json:"hash"`
+			BaseHash string `json:"base_hash"`
+		}
+		err = json.NewDecoder(resp.Body).Decode(&answer)
+		resp.Body.Close()
+		if err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s %s: status %d, %v", tc.path, tc.body, resp.StatusCode, err)
+		}
+		want, route := answer.Hash, service.RouteKey
+		if tc.path == "/v1/coalesce/delta" {
+			want, route = answer.BaseHash, service.DeltaRouteKey
+		}
+		key, form := route([]byte(tc.body), service.DefaultMaxVertices)
+		if key != want || !strings.HasPrefix(form, want+":") {
+			t.Errorf("%s %s: routed by %q with form %q, the worker answered hash %q", tc.path, tc.body, key, form, want)
+		}
+	}
+	// A delta op routes by the base_hash it echoes, never by a graph it
+	// carries: without one it goes to the fallback shard.
+	for body, want := range map[string]string{
+		`{"op":"delta","session_id":"s-1","graph":` + g + `,"deltas":[{"op":"add_vertex"}]}`:                   "",
+		`{"op":"delta","session_id":"s-1","graph":` + g + `,"base_hash":"abc","deltas":[{"op":"add_vertex"}]}`: "abc",
+		`{"op":"close","session_id":"s-1","base_hash":"abc"} trailing`:                                         "abc",
+	} {
+		if key, form := service.DeltaRouteKey([]byte(body), service.DefaultMaxVertices); key != want || form != "" {
+			t.Errorf("%s: routed by %q with form %q, want %q and no form", body, key, form, want)
 		}
 	}
 }

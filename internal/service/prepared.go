@@ -258,15 +258,15 @@ func noteEntry(tr *obs.Trace, e *entry) {
 	if tr == nil {
 		return
 	}
-	tr.Winner = e.strategy
-	tr.DeadlineHit = e.deadlineHit
+	tr.Winner = e.Strategy
+	tr.DeadlineHit = e.DeadlineHit
 }
 
 func (s *Server) recordComputed(e *entry, tr *obs.Trace) {
-	if e.deadlineHit {
+	if e.DeadlineHit {
 		s.metrics.DeadlineHits.Add(1)
 	}
-	s.metrics.StrategyWon(e.strategy)
+	s.metrics.StrategyWon(e.Strategy)
 	noteEntry(tr, e)
 }
 

@@ -21,21 +21,21 @@ import (
 // coalesceEntry converts a strategy result into a canonical-space entry.
 func coalesceEntry(f *graph.File, perm []graph.V, res *coalesce.Result, winner string, deadlineHit bool) *entry {
 	e := &entry{
-		strategy:        winner,
-		coalescedMoves:  len(res.Coalesced),
-		coalescedWeight: res.CoalescedWeight,
-		remainingWeight: res.RemainingWeight,
-		colorable:       res.Colorable,
-		deadlineHit:     deadlineHit,
-		classes:         canonClasses(res.P, perm),
+		Strategy:        winner,
+		CoalescedMoves:  len(res.Coalesced),
+		CoalescedWeight: res.CoalescedWeight,
+		RemainingWeight: res.RemainingWeight,
+		Colorable:       res.Colorable,
+		DeadlineHit:     deadlineHit,
+		Classes:         canonClasses(res.P, perm),
 	}
 	if res.Colorable {
 		if q, old2new, err := graph.Quotient(f.G, res.P); err == nil {
 			if qcol, ok := greedy.Color(q, f.K); ok {
 				lifted := qcol.Lift(old2new)
-				e.coloring = make([]int, len(lifted))
+				e.Coloring = make([]int, len(lifted))
 				for v, c := range lifted {
-					e.coloring[perm[v]] = c
+					e.Coloring[perm[v]] = c
 				}
 			}
 		}
@@ -46,40 +46,40 @@ func coalesceEntry(f *graph.File, perm []graph.V, res *coalesce.Result, winner s
 // allocateEntry converts an allocator result into a canonical-space entry.
 func allocateEntry(perm []graph.V, res *regalloc.Result, winner string, deadlineHit bool) *entry {
 	e := &entry{
-		strategy:        winner,
-		coalescedWeight: res.CoalescedWeight,
-		remainingWeight: res.RemainingWeight,
-		spills:          len(res.Spilled),
-		deadlineHit:     deadlineHit,
-		coloring:        make([]int, len(res.Coloring)),
+		Strategy:        winner,
+		CoalescedWeight: res.CoalescedWeight,
+		RemainingWeight: res.RemainingWeight,
+		Spills:          len(res.Spilled),
+		DeadlineHit:     deadlineHit,
+		Coloring:        make([]int, len(res.Coloring)),
 	}
 	for v, c := range res.Coloring {
-		e.coloring[perm[v]] = c
+		e.Coloring[perm[v]] = c
 	}
 	for _, v := range res.Spilled {
-		e.spilled = append(e.spilled, int(perm[v]))
+		e.Spilled = append(e.Spilled, int(perm[v]))
 	}
-	sort.Ints(e.spilled)
+	sort.Ints(e.Spilled)
 	return e
 }
 
 // spillEntry converts a spill plan into a canonical-space entry.
 func spillEntry(perm []graph.V, plan *spill.Plan, winner string, deadlineHit bool) *entry {
 	e := &entry{
-		strategy:    winner,
-		spills:      len(plan.Spilled),
-		spillCost:   plan.Cost,
-		optimal:     plan.Optimal,
-		deadlineHit: deadlineHit,
-		coloring:    make([]int, len(plan.Coloring)),
+		Strategy:    winner,
+		Spills:      len(plan.Spilled),
+		SpillCost:   plan.Cost,
+		Optimal:     plan.Optimal,
+		DeadlineHit: deadlineHit,
+		Coloring:    make([]int, len(plan.Coloring)),
 	}
 	for v, c := range plan.Coloring {
-		e.coloring[perm[v]] = c
+		e.Coloring[perm[v]] = c
 	}
 	for _, v := range plan.Spilled {
-		e.spilled = append(e.spilled, int(perm[v]))
+		e.Spilled = append(e.Spilled, int(perm[v]))
 	}
-	sort.Ints(e.spilled)
+	sort.Ints(e.Spilled)
 	return e
 }
 
@@ -107,8 +107,8 @@ func renderCoalesce(f *graph.File, hash string, perm []graph.V, e *entry) *Coale
 	for v, p := range perm {
 		inv[p] = v
 	}
-	classes := make([][]int, 0, len(e.classes))
-	for _, cls := range e.classes {
+	classes := make([][]int, 0, len(e.Classes))
+	for _, cls := range e.Classes {
 		c := make([]int, len(cls))
 		for i, cid := range cls {
 			c[i] = inv[cid]
@@ -123,18 +123,18 @@ func renderCoalesce(f *graph.File, hash string, perm []graph.V, e *entry) *Coale
 		Edges:           f.G.E(),
 		Moves:           f.G.NumAffinities(),
 		K:               f.K,
-		Strategy:        e.strategy,
-		CoalescedMoves:  e.coalescedMoves,
-		CoalescedWeight: e.coalescedWeight,
-		RemainingWeight: e.remainingWeight,
-		Colorable:       e.colorable,
-		DeadlineHit:     e.deadlineHit,
+		Strategy:        e.Strategy,
+		CoalescedMoves:  e.CoalescedMoves,
+		CoalescedWeight: e.CoalescedWeight,
+		RemainingWeight: e.RemainingWeight,
+		Colorable:       e.Colorable,
+		DeadlineHit:     e.DeadlineHit,
 		Classes:         classes,
 	}
-	if e.coloring != nil {
+	if e.Coloring != nil {
 		res.Coloring = make([]int, f.G.N())
 		for v := range res.Coloring {
-			res.Coloring[v] = e.coloring[perm[v]]
+			res.Coloring[v] = e.Coloring[perm[v]]
 		}
 	}
 	return res
@@ -153,17 +153,17 @@ func renderSpill(f *graph.File, hash string, perm []graph.V, e *entry) *SpillRes
 		Edges:       f.G.E(),
 		Moves:       f.G.NumAffinities(),
 		K:           f.K,
-		Strategy:    e.strategy,
-		Spills:      e.spills,
-		SpillCost:   e.spillCost,
-		Optimal:     e.optimal,
-		DeadlineHit: e.deadlineHit,
+		Strategy:    e.Strategy,
+		Spills:      e.Spills,
+		SpillCost:   e.SpillCost,
+		Optimal:     e.Optimal,
+		DeadlineHit: e.DeadlineHit,
 	}
 	res.Coloring = make([]int, f.G.N())
 	for v := range res.Coloring {
-		res.Coloring[v] = e.coloring[perm[v]]
+		res.Coloring[v] = e.Coloring[perm[v]]
 	}
-	for _, cid := range e.spilled {
+	for _, cid := range e.Spilled {
 		res.Spilled = append(res.Spilled, inv[cid])
 	}
 	sort.Ints(res.Spilled)
@@ -182,17 +182,17 @@ func renderAllocate(f *graph.File, hash string, perm []graph.V, e *entry) *Alloc
 		Edges:           f.G.E(),
 		Moves:           f.G.NumAffinities(),
 		K:               f.K,
-		Strategy:        e.strategy,
-		Spills:          e.spills,
-		CoalescedWeight: e.coalescedWeight,
-		RemainingWeight: e.remainingWeight,
-		DeadlineHit:     e.deadlineHit,
+		Strategy:        e.Strategy,
+		Spills:          e.Spills,
+		CoalescedWeight: e.CoalescedWeight,
+		RemainingWeight: e.RemainingWeight,
+		DeadlineHit:     e.DeadlineHit,
 	}
 	res.Coloring = make([]int, f.G.N())
 	for v := range res.Coloring {
-		res.Coloring[v] = e.coloring[perm[v]]
+		res.Coloring[v] = e.Coloring[perm[v]]
 	}
-	for _, cid := range e.spilled {
+	for _, cid := range e.Spilled {
 		res.Spilled = append(res.Spilled, inv[cid])
 	}
 	sort.Ints(res.Spilled)

@@ -458,28 +458,36 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	s.metrics.InFlight.Add(1)
 	defer s.metrics.InFlight.Add(-1)
 
-	var req BatchSolveRequest
-	body := http.MaxBytesReader(w, r.Body, MaxBodyBytes)
-	dec := json.NewDecoder(body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		s.writeError(w, badRequest("decoding batch request: %v", err))
-		return
-	}
-	kind, err := ParseKind(req.Kind)
+	req, kind, err := DecodeBatch(http.MaxBytesReader(w, r.Body, MaxBodyBytes), s.cfg.MaxBatch)
 	if err != nil {
-		s.writeError(w, badRequest("%v", err))
-		return
-	}
-	if len(req.Items) == 0 {
-		s.writeError(w, badRequest("empty batch"))
-		return
-	}
-	if len(req.Items) > s.cfg.MaxBatch {
-		s.writeError(w, badRequest("batch carries %d graphs, limit %d", len(req.Items), s.cfg.MaxBatch))
+		s.writeError(w, err)
 		return
 	}
 	s.writeJSON(w, http.StatusOK, s.runBatch(kind, req.Items))
+}
+
+// DecodeBatch reads a /v1/batch body under the batch envelope's rules:
+// a strict decode, a known kind, and 1 to maxBatch items. The error is
+// the 400 a server answers with; a cluster router forwards a body that
+// fails them, whole, to its fallback shard, whose worker answers it.
+func DecodeBatch(body io.Reader, maxBatch int) (*BatchSolveRequest, Kind, error) {
+	var req BatchSolveRequest
+	dec := json.NewDecoder(body)
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&req); err != nil {
+		return nil, 0, badRequest("decoding batch request: %v", err)
+	}
+	kind, err := ParseKind(req.Kind)
+	if err != nil {
+		return nil, 0, badRequest("%v", err)
+	}
+	if len(req.Items) == 0 {
+		return nil, 0, badRequest("empty batch")
+	}
+	if len(req.Items) > maxBatch {
+		return nil, 0, badRequest("batch carries %d graphs, limit %d", len(req.Items), maxBatch)
+	}
+	return &req, kind, nil
 }
 
 // runBatch fans the items out onto the pool with bounded concurrency and

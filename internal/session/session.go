@@ -202,22 +202,6 @@ func (s *Session) Apply(deltas []Delta) (*Solve, error) {
 	return s.applyLocked(deltas)
 }
 
-// ApplyAt is Apply guarded by optimistic concurrency: the batch applies
-// only when the session is at the expected version, else a 409
-// ClientError. Used with the store's per-session singleflight so that
-// concurrent duplicates of one edit collapse to a single application.
-func (s *Session) ApplyAt(version int64, deltas []Delta) (*Solve, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.version != version {
-		if s.metrics != nil {
-			s.metrics.Conflicts.Add(1)
-		}
-		return nil, Errf(http.StatusConflict, "version conflict: session at %d, request expects %d", s.version, version)
-	}
-	return s.applyLocked(deltas)
-}
-
 // ApplyRender applies (at the expected version when version >= 0) and
 // renders the resulting solve in one critical section, so a concurrent
 // Apply cannot recycle the solve buffers mid-render. render must only

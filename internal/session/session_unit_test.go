@@ -146,10 +146,11 @@ func TestApplyAtVersionConflict(t *testing.T) {
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
-	if _, err := s.ApplyAt(0, []Delta{{Op: OpAddVertex}}); err != nil {
-		t.Fatalf("ApplyAt(0): %v", err)
+	render := func(sol *Solve) (any, error) { return sol.Version, nil }
+	if v, err := s.ApplyRender(0, []Delta{{Op: OpAddVertex}}, render); err != nil || v != int64(1) {
+		t.Fatalf("ApplyRender(0): version %v, %v", v, err)
 	}
-	_, err = s.ApplyAt(0, []Delta{{Op: OpAddVertex}})
+	_, err = s.ApplyRender(0, []Delta{{Op: OpAddVertex}}, render)
 	var ce *ClientError
 	if err == nil || !asClientError(err, &ce) || ce.Status != http.StatusConflict {
 		t.Fatalf("stale version: want 409, got %v", err)

@@ -158,12 +158,20 @@ func sortedCopy(vs []graph.V) []graph.V {
 	return out
 }
 
-// plan materializes the best spill set found.
+// plan materializes the best spill set found, coloring the residual
+// through the pooled select the greedy spillers use.
 func (s *exactSearch) plan(f *graph.File) (*Plan, error) {
-	alive := graph.NewBits(f.G.N())
-	alive.Fill(f.G.N())
+	sc := AcquireScratch()
+	defer sc.Release()
+	n := f.G.N()
+	sc.alive = graph.ReuseBits(sc.alive, n)
+	sc.alive.Fill(n)
 	for _, v := range s.bestSet {
-		alive.Clear(v)
+		sc.alive.Clear(v)
 	}
-	return finishPlan(f, alive, s.bestSet, s.costs, len(s.bestSet))
+	plan := &Plan{Spilled: s.bestSet}
+	if err := sc.finishPlan(f, s.costs, len(s.bestSet), plan); err != nil {
+		return nil, err
+	}
+	return plan, nil
 }

@@ -149,37 +149,6 @@ func drainEliminate(g *graph.Graph, k int, deg []int, removed, pinned []bool, st
 	return stack
 }
 
-// finishPlan colors the residual graph and assembles the Plan (the
-// allocating path used by the exact search; the greedy spillers use
-// Scratch.finishPlan, which colors through the alive mask instead of
-// materializing the induced subgraph).
-func finishPlan(f *graph.File, alive graph.Bits, spilled []graph.V, costs []int64, rounds int) (*Plan, error) {
-	g := f.G
-	survivors := make([]graph.V, 0, g.N()-len(spilled))
-	for v := 0; v < g.N(); v++ {
-		if alive.Get(graph.V(v)) {
-			survivors = append(survivors, graph.V(v))
-		}
-	}
-	sub, old2new := g.InducedSubgraph(survivors)
-	col, ok := greedy.Color(sub, f.K)
-	if !ok {
-		return nil, fmt.Errorf("spill: residual graph not greedy-%d-colorable after %d evictions", f.K, len(spilled))
-	}
-	plan := &Plan{
-		Spilled:  spilled,
-		Coloring: graph.NewColoring(g.N()),
-		Rounds:   rounds,
-	}
-	for _, v := range survivors {
-		plan.Coloring[v] = col[old2new[v]]
-	}
-	for _, v := range spilled {
-		plan.Cost += costOf(costs, v)
-	}
-	return plan, nil
-}
-
 // Scratch is pooled solver state for the graph-level spillers: the alive
 // and witness masks, the elimination degree/flag arrays, and the residual
 // coloring worklists. Acquire one with AcquireScratch, run any number of
@@ -371,12 +340,13 @@ func (s *Scratch) pickVictim(g *graph.Graph, costs []int64) graph.V {
 }
 
 // finishPlan colors the residual (alive) subgraph through the mask and
-// assembles the Plan, reusing the plan's storage. The elimination is
+// assembles the Plan, reusing the plan's storage; every graph-level
+// spiller, the exact search included, finishes here. The elimination is
 // greedy.EliminateMasked — the one shared implementation of the
 // smallest-id-first discipline — and the select phase mirrors
-// greedy.Select (unbiased), so pooled and unpooled spillers produce
-// identical plans (pinned by the differential tests) without
-// materializing the induced subgraph.
+// greedy.Select (unbiased), so the coloring is the one greedy.Color
+// gives the induced residual subgraph (pinned by the differential tests)
+// without materializing that subgraph.
 func (s *Scratch) finishPlan(f *graph.File, costs []int64, rounds int, plan *Plan) error {
 	g, k := f.G, f.K
 	n := g.N()
