@@ -30,13 +30,13 @@
 //
 // A worker requires -self, its own URL as it appears in -peers (or, with
 // -join, as the router will list it); without it serve exits with status
-// 1. Every node builds the same consistent-hash ring from the peer list,
-// so the ring's virtual-node count is fixed, not a flag. A worker embeds
-// the full single-node service plus the tiered cache (peer fill from the
-// shard that owns a canonical hash) and two-lane admission control. A
-// router holds no solver state: it shards requests across -peers by
-// canonical graph hash and splices /v1/batch fan-outs back together
-// byte-identically.
+// 1. Every node places keys by rendezvous hashing over the peer list,
+// which has no parameter to configure, so every node computes the same
+// placement. A worker embeds the full single-node service plus the
+// tiered cache (peer fill from the shard that owns a canonical hash) and
+// two-lane admission control. A router holds no solver state: it shards
+// requests across -peers by canonical graph hash and splices /v1/batch
+// fan-outs back together byte-identically.
 package main
 
 import (
@@ -76,11 +76,9 @@ func main() {
 		self      = flag.String("self", "", "this worker's base URL as it appears in -peers (worker role; required)")
 		replicas  = flag.Int("replicas", cluster.DefaultReplicas, "replica-set size R: workers owning each hash range (same value on every node)")
 
-		joinURL     = flag.String("join", "", "worker: router base URL to announce this node to at startup (live join) and to leave on shutdown")
-		handoffRate = flag.Float64("handoff-rate", 0, "worker: max cache entries streamed per second during a reshard handoff (0 = unlimited)")
-		retryBudget = flag.Int("retry-budget", 0, "router: total attempts per request across replicas (0 = default 3)")
-		hedgeAfter  = flag.Duration("hedge-after", 250*time.Millisecond, "router: launch a hedged attempt on the next replica after this long (0 disables)")
-		faultPlan   = flag.String("fault-plan", "", "path to a fault-injection plan JSON (off when empty; see docs/FAULT_INJECTION.md)")
+		joinURL    = flag.String("join", "", "worker: router base URL to announce this node to at startup (live join) and to leave on shutdown")
+		hedgeAfter = flag.Duration("hedge-after", 250*time.Millisecond, "router: launch a hedged attempt on the next replica after this long (0 disables)")
+		faultPlan  = flag.String("fault-plan", "", "path to a fault-injection plan JSON (off when empty; see docs/FAULT_INJECTION.md)")
 	)
 	flag.Parse()
 
@@ -96,7 +94,7 @@ func main() {
 		log.Printf("serve: fault injection armed from %s (seed %d, %d rules)", *faultPlan, p.Seed, len(p.Rules))
 	}
 	if *clusterOn && *role == "router" {
-		runRouter(*addr, peerList, *replicas, *retryBudget, *hedgeAfter, *grace, plan)
+		runRouter(*addr, peerList, *replicas, *hedgeAfter, *grace, plan)
 		return
 	}
 	if *clusterOn && *role != "worker" {
@@ -137,10 +135,9 @@ func main() {
 			peerList = append(peerList, *self)
 		}
 		wcfg := cluster.WorkerConfig{
-			Self:        *self,
-			Peers:       peerList,
-			Replicas:    *replicas,
-			HandoffRate: *handoffRate,
+			Self:     *self,
+			Peers:    peerList,
+			Replicas: *replicas,
 		}
 		var inj *faultinject.Injector
 		if plan != nil {
@@ -251,12 +248,11 @@ func main() {
 
 // runRouter serves the stateless sharding tier: no solver, no pool — just
 // the consistent-hash proxy over the worker set.
-func runRouter(addr string, workerURLs []string, replicas, retryBudget int, hedgeAfter, grace time.Duration, plan *faultinject.Plan) {
+func runRouter(addr string, workerURLs []string, replicas int, hedgeAfter, grace time.Duration, plan *faultinject.Plan) {
 	rcfg := cluster.RouterConfig{
-		Workers:     workerURLs,
-		Replicas:    replicas,
-		RetryBudget: retryBudget,
-		HedgeAfter:  hedgeAfter,
+		Workers:    workerURLs,
+		Replicas:   replicas,
+		HedgeAfter: hedgeAfter,
 	}
 	if plan != nil {
 		inj := faultinject.New(plan)

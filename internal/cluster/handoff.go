@@ -11,13 +11,13 @@ package cluster
 // session store holds the log as a dormant session and replays it on
 // the session's first request, the path failover already takes; a
 // former owner still holding the session live retires that copy when
-// the newer log arrives. The stream is rate-limited (HandoffRate),
-// gets one retry round over its failures (resumable: a push that missed
-// is re-attempted before the round is declared done), and runs under
-// the regcoal_handoff_* counter family. While it streams, the old view
-// stays installed as a read fallback (Worker.prev) for handoffWindow,
-// so a request that reaches the new owner before its entry does falls
-// back to the old owner instead of re-solving — no cold cache.
+// the newer log arrives. The stream gets one retry round over its
+// failures (resumable: a push that missed is re-attempted before the
+// round is declared done), and runs under the regcoal_handoff_* counter
+// family. While it streams, the old view stays installed as a read
+// fallback (Worker.prev) for handoffWindow, so a request that reaches
+// the new owner before its entry does falls back to the old owner
+// instead of re-solving — no cold cache.
 
 import (
 	"time"
@@ -75,13 +75,8 @@ func (w *Worker) runHandoff(old, next *TopologyView) {
 			pending = append(pending, handoffPush{peer: peer, rec: rec})
 		}
 	}
-
-	var interval time.Duration
-	if w.cfg.HandoffRate > 0 {
-		interval = time.Duration(float64(time.Second) / w.cfg.HandoffRate)
-	}
-	retry := w.streamHandoff(pending, interval)
-	retry = w.streamHandoff(retry, interval)
+	retry := w.streamHandoff(pending)
+	retry = w.streamHandoff(retry)
 	w.handoffErrors.Add(int64(len(retry)))
 }
 
@@ -110,14 +105,11 @@ func (w *Worker) movedOwners(old, next *TopologyView, hash string, replicas int)
 	return out
 }
 
-// streamHandoff sends each pending push, pacing by interval, returning
-// the pushes that failed (the caller's retry round).
-func (w *Worker) streamHandoff(pending []handoffPush, interval time.Duration) []handoffPush {
+// streamHandoff sends each pending push, returning the pushes that
+// failed (the caller's retry round).
+func (w *Worker) streamHandoff(pending []handoffPush) []handoffPush {
 	var failed []handoffPush
-	for i, p := range pending {
-		if interval > 0 && i > 0 {
-			time.Sleep(interval)
-		}
+	for _, p := range pending {
 		var err error
 		if p.rec != nil {
 			if err = w.shipLog(p.peer, p.rec); err == nil {

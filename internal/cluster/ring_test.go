@@ -56,6 +56,44 @@ func TestRingBalance(t *testing.T) {
 	}
 }
 
+// Every node set, whatever ports its workers bound, must split the key
+// space evenly: in-process clusters bind random ports, and a skewed split
+// starves a worker of the requests a seeded test aims at it.
+func TestRingBalancedOverRandomNodeSets(t *testing.T) {
+	rng := rand.New(rand.NewSource(22))
+	keys := make([]string, 3000)
+	for i := range keys {
+		var b [32]byte
+		rng.Read(b[:])
+		keys[i] = hex.EncodeToString(b[:])
+	}
+	for _, c := range []struct {
+		nodes    int
+		maxShare float64
+	}{{2, 0.6}, {3, 0.45}} {
+		for set := 0; set < 500; set++ {
+			ports := map[int]bool{}
+			var nodes []string
+			for len(nodes) < c.nodes {
+				if p := 1024 + rng.Intn(64512); !ports[p] {
+					ports[p] = true
+					nodes = append(nodes, "http://127.0.0.1:"+strconv.Itoa(p))
+				}
+			}
+			r := NewRing(nodes)
+			counts := map[string]int{}
+			for _, k := range keys {
+				counts[r.Owner(k)]++
+			}
+			for n, got := range counts {
+				if share := float64(got) / float64(len(keys)); share >= c.maxShare {
+					t.Fatalf("set %d %v: %s owns %.3f of the keys, want < %.2f", set, nodes, n, share, c.maxShare)
+				}
+			}
+		}
+	}
+}
+
 func TestRingFallbackKeyDeterministic(t *testing.T) {
 	r := NewRing([]string{"http://a:1", "http://b:1"})
 	owner := r.Owner("")
@@ -72,18 +110,18 @@ func TestRingFallbackKeyDeterministic(t *testing.T) {
 // placement pins where the ring puts keys on servebench's node set
 // (http://w0..w2): for the fallback key "" and then for the hex SHA-256
 // of "placement-0".."placement-63", the indices of Replicas(key, 2),
-// under 64 FNV-1a vnodes per node. A ring change that moves keys (and so
+// under rendezvous hashing. A ring change that moves keys (and so
 // servebench's shard shares) must update it deliberately.
 var placement = []string{
-	"02",
-	"21", "21", "21", "02", "02", "01", "02", "10",
-	"10", "21", "21", "01", "21", "21", "02", "21",
-	"01", "10", "02", "21", "21", "01", "02", "02",
-	"02", "21", "10", "02", "10", "02", "21", "21",
-	"10", "10", "10", "02", "02", "12", "01", "10",
-	"02", "02", "10", "10", "21", "02", "21", "10",
-	"10", "10", "01", "21", "10", "10", "12", "02",
-	"02", "10", "02", "21", "10", "01", "10", "01",
+	"20",
+	"10", "12", "10", "20", "01", "21", "01", "01",
+	"01", "10", "21", "21", "01", "01", "10", "02",
+	"02", "01", "01", "20", "21", "10", "02", "21",
+	"01", "10", "12", "20", "01", "20", "20", "10",
+	"21", "21", "12", "10", "12", "12", "20", "10",
+	"10", "10", "12", "21", "12", "12", "10", "21",
+	"02", "21", "20", "12", "21", "20", "01", "01",
+	"01", "20", "10", "12", "10", "20", "01", "01",
 }
 
 func TestRingPlacementPinned(t *testing.T) {
@@ -104,6 +142,21 @@ func TestRingPlacementPinned(t *testing.T) {
 		if got != want || r.Owner(key) != nodes[want[0]-'0'] {
 			t.Errorf("key %d (%q): owner %s, replicas %v; want replicas w%c,w%c", i, key, r.Owner(key), reps, want[0], want[1])
 		}
+	}
+}
+
+// BenchmarkRingSequence prices the router's per-request lookup: the
+// preference sequence of a canonical-hash key on a 3-worker ring.
+func BenchmarkRingSequence(b *testing.B) {
+	r := NewRing([]string{"http://127.0.0.1:18081", "http://127.0.0.1:18082", "http://127.0.0.1:18083"})
+	keys := make([]string, 64)
+	for i := range keys {
+		sum := sha256.Sum256([]byte("bench-" + strconv.Itoa(i)))
+		keys[i] = hex.EncodeToString(sum[:])
+	}
+	b.ReportAllocs()
+	for i := 0; b.Loop(); i++ {
+		r.Sequence(keys[i%len(keys)])
 	}
 }
 

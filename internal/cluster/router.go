@@ -38,13 +38,14 @@ import (
 // deterministic fallback shard — ring owner of the empty key — whose
 // worker reproduces the exact single-node error body.
 //
-// Failover walks the ring sequence — the replica set first, then the
-// remaining nodes in ring order — under a per-request retry budget:
-// attempts that fail in transport or answer 5xx retry the next distinct
-// node after a capped, jittered exponential backoff, and (for idempotent
-// endpoints) a hedged second attempt races the next replica once the
-// first has been in flight longer than HedgeAfter. A worker that is
-// unreachable or fails its readiness probe (draining) is skipped.
+// Failover walks the key's ring sequence — the replica set first, then
+// the remaining nodes by descending score — under a per-request retry
+// budget: attempts that fail in transport or answer 5xx retry the next
+// distinct node after a capped, jittered exponential backoff, and (for
+// idempotent endpoints) a hedged second attempt races the next replica
+// once the first has been in flight longer than HedgeAfter. A worker
+// that is unreachable or fails its readiness probe (draining) is
+// skipped.
 type Router struct {
 	cfg    RouterConfig
 	topo   *Topology
@@ -112,9 +113,6 @@ type RouterConfig struct {
 	// Replicas is the replica-set size R each hash range is owned by
 	// (default 2, capped by the worker count). Must match the workers'.
 	Replicas int
-	// RetryBudget caps total attempts per request — the first try plus
-	// retries plus any hedge (default 3).
-	RetryBudget int
 	// HedgeAfter launches a hedged attempt at the next replica once the
 	// current attempt has been in flight this long without answering.
 	// Zero disables hedging (the in-process/test default: a hedge
@@ -123,9 +121,11 @@ type RouterConfig struct {
 	HedgeAfter time.Duration
 }
 
-// backoffBase and backoffCap bound the jittered exponential backoff
-// between retry attempts.
+// retryBudget caps total attempts per request — the first try plus
+// retries plus any hedge; backoffBase and backoffCap bound the jittered
+// exponential backoff between retry attempts.
 const (
+	retryBudget = 3
 	backoffBase = 10 * time.Millisecond
 	backoffCap  = 200 * time.Millisecond
 )
@@ -142,9 +142,6 @@ func (c *RouterConfig) fillDefaults() {
 	}
 	if c.Replicas <= 0 {
 		c.Replicas = DefaultReplicas
-	}
-	if c.RetryBudget <= 0 {
-		c.RetryBudget = 3
 	}
 }
 
@@ -494,7 +491,7 @@ func (r *Router) forwardTo(path, key, form string, body []byte, traceID string, 
 				return res.status, res.hdr, res.body, res.node, nil
 			}
 			last, haveLast = res, true
-			if launched < r.cfg.RetryBudget && next < len(seq) && backoffC == nil {
+			if launched < retryBudget && next < len(seq) && backoffC == nil {
 				r.retries.Add(1)
 				backoffT = time.NewTimer(r.backoff(launched))
 				backoffC = backoffT.C
@@ -504,7 +501,7 @@ func (r *Router) forwardTo(path, key, form string, body []byte, traceID string, 
 			launch()
 		case <-hedgeC:
 			hedgeC = nil
-			if launched < r.cfg.RetryBudget && launch() {
+			if launched < retryBudget && launch() {
 				r.hedges.Add(1)
 			}
 		}

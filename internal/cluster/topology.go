@@ -32,8 +32,7 @@ import (
 const EpochHeader = "X-Regcoal-Epoch"
 
 // TopologyView is one immutable snapshot of cluster membership: the
-// epoch, the sorted node set, and the consistent-hash ring built over
-// it. Views are never mutated after construction; a topology change
+// epoch, the sorted node set, and the rendezvous Ring built over it. Views are never mutated after construction; a topology change
 // installs a fresh view.
 type TopologyView struct {
 	Epoch uint64

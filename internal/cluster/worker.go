@@ -96,10 +96,6 @@ type WorkerConfig struct {
 	// (default DefaultReplicas, capped by the worker count). Must match
 	// the router's. R = 1 is the pre-replication single-owner behavior.
 	Replicas int
-	// HandoffRate bounds the handoff stream to this many cache entries
-	// per second per topology change (0 = unlimited). Resharding trades
-	// warm caches for network burst; the rate keeps the burst bounded.
-	HandoffRate float64
 }
 
 // NewWorker makes svc a cluster shard, installing the worker as its

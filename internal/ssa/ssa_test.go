@@ -222,6 +222,19 @@ func TestBuildInterferenceMoveRefinement(t *testing.T) {
 	}
 }
 
+func TestPipelineDiamondCarriesAffinities(t *testing.T) {
+	// The diamond's lowering must produce at least one move and hence an
+	// affinity in its interference graph.
+	_, low, err := Pipeline(ir.Diamond())
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, _ := BuildInterference(low)
+	if g.NumAffinities() == 0 {
+		t.Fatal("lowered diamond must carry affinities")
+	}
+}
+
 func TestSplitCriticalEdges(t *testing.T) {
 	// entry branches to {b, join}; b falls to join: edge entry->join is
 	// critical.

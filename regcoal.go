@@ -25,6 +25,7 @@
 package regcoal
 
 import (
+	"context"
 	"io"
 
 	"regcoal/internal/coalesce"
@@ -98,27 +99,16 @@ func Strategies() []Strategy {
 // Result is the outcome of a coalescing strategy run.
 type Result = coalesce.Result
 
-// Run executes a strategy on g with k registers.
+// Run executes a strategy on g with k registers. It runs the coalesce
+// registry's entry of that name; unknown names, and registry entries
+// outside the core matrix Strategies lists, report false.
 func Run(g *Graph, k int, s Strategy) (*Result, bool) {
-	switch s {
-	case StrategyAggressive:
-		return coalesce.Aggressive(g, k), true
-	case StrategyBriggs:
-		return coalesce.Conservative(g, k, coalesce.TestBriggs), true
-	case StrategyGeorge:
-		return coalesce.Conservative(g, k, coalesce.TestGeorge), true
-	case StrategyBriggsGeorge:
-		return coalesce.Conservative(g, k, coalesce.TestBriggsGeorge), true
-	case StrategyExtendedGeorge:
-		return coalesce.Conservative(g, k, coalesce.TestExtendedGeorge), true
-	case StrategyBrute:
-		return coalesce.Conservative(g, k, coalesce.TestBrute), true
-	case StrategyBruteSets:
-		return coalesce.ConservativeSets(g, k, 2), true
-	case StrategyOptimistic:
-		return coalesce.Optimistic(g, k), true
+	ns, ok := coalesce.LookupStrategy(string(s))
+	if !ok || !ns.Core {
+		return nil, false
 	}
-	return nil, false
+	res, err := ns.Run(context.TODO(), g, k)
+	return res, err == nil
 }
 
 // IsGreedyKColorable reports whether g survives Chaitin's simplification
