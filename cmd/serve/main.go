@@ -32,9 +32,10 @@
 // -join, as the router will list it); without it serve exits with status
 // 1. Every node places keys by rendezvous hashing over the peer list,
 // which has no parameter to configure, so every node computes the same
-// placement. A worker embeds the full single-node service plus the
-// tiered cache (peer fill from the shard that owns a canonical hash) and
-// two-lane admission control. A router holds no solver state: it shards
+// placement. A worker embeds the full single-node service, heavy-lane
+// admission included, plus the tiered cache (peer fill from the shards
+// that own a canonical hash, push-on-compute to them) and session-log
+// replication. A router holds no solver state: it shards
 // requests across -peers by canonical graph hash and splices /v1/batch
 // fan-outs back together byte-identically.
 package main

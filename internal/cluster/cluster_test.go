@@ -9,14 +9,12 @@ package cluster_test
 import (
 	"bytes"
 	"encoding/json"
-	"fmt"
 	"io"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"slices"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -605,112 +603,6 @@ func TestDrainFailsReadinessAndRouterFailsOver(t *testing.T) {
 	}
 	if !bytes.Equal(got, want) {
 		t.Fatalf("failover body differs:\n%s\n%s", got, want)
-	}
-}
-
-// parkingTier is a worker's tier whose first admitted request, once it
-// holds its lane slot, waits until release is closed: a holder of the
-// heavy lane that does not depend on how long its solve takes.
-type parkingTier struct {
-	*cluster.Worker
-	first   atomic.Bool
-	parked  chan struct{}
-	release chan struct{}
-}
-
-func (p *parkingTier) Admit(prep *service.Prepared) (func(), error) {
-	done, err := p.Worker.Admit(prep)
-	if err == nil && p.first.CompareAndSwap(false, true) {
-		close(p.parked)
-		<-p.release
-	}
-	return done, err
-}
-
-// A full heavy lane answers 429 with backpressure instead of queueing
-// more expensive races.
-func TestAdmissionHeavyLaneRejectsWhenFull(t *testing.T) {
-	svc, err := service.New(service.Config{Workers: 4, QueueCap: 64})
-	if err != nil {
-		t.Fatal(err)
-	}
-	w, err := cluster.NewWorker(svc, cluster.WorkerConfig{
-		Self:      "http://w0",
-		Peers:     []string{"http://w0"},
-		Admission: cluster.AdmissionConfig{HeavySlots: 1, HeavyVertices: 1}, // everything is heavy
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	tier := &parkingTier{Worker: w, parked: make(chan struct{}), release: make(chan struct{})}
-	svc.SetTier(tier)
-	var releaseOnce sync.Once
-	release := func() { releaseOnce.Do(func() { close(tier.release) }) }
-	ts := httptest.NewServer(w)
-	t.Cleanup(func() {
-		ts.Close()
-		svc.Close()
-	})
-	t.Cleanup(release) // runs first: a failed test must not leave the holder parked
-
-	rng := rand.New(rand.NewSource(42))
-	g := graph.RandomER(rng, 48, 0.4)
-	graph.SprinkleAffinities(rng, g, 14, 100)
-	body, err := json.Marshal(&service.Request{
-		Graph:      specFromFileT(&graph.File{G: g, K: 6}),
-		DeadlineMS: 500,
-		NoCache:    true, // force a real compute per request: no cache, no collapse
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	holder := make(chan error, 1)
-	go func() {
-		resp, err := http.Post(ts.URL+"/v1/coalesce", "application/json", bytes.NewReader(body))
-		if err != nil {
-			holder <- err
-			return
-		}
-		io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			holder <- fmt.Errorf("holder status %d", resp.StatusCode)
-			return
-		}
-		holder <- nil
-	}()
-	select {
-	case <-tier.parked: // the holder owns the heavy lane's one slot
-	case err := <-holder:
-		t.Fatalf("holder answered without being admitted: %v", err)
-	case <-time.After(10 * time.Second):
-		t.Fatal("holder never reached admission")
-	}
-
-	status, _, got := post(t, ts.URL+"/v1/coalesce", body)
-	if status != http.StatusTooManyRequests {
-		t.Fatalf("second heavy request: status %d (%s), want 429", status, got)
-	}
-	var e service.ErrorResponse
-	if err := json.Unmarshal(got, &e); err != nil {
-		t.Fatal(err)
-	}
-	if e.Error != "heavy lane full, retry later" {
-		t.Fatalf("429 body %q", e.Error)
-	}
-	release()
-	if err := <-holder; err != nil {
-		t.Fatal(err)
-	}
-	if rejects := svc.Registry().Snapshot().Labels("cluster_lane_rejects")["heavy"]; rejects != 1 {
-		t.Fatalf("heavy lane rejects %d, want 1", rejects)
-	}
-
-	// With the lane free again the same request is admitted.
-	status, _, got = post(t, ts.URL+"/v1/coalesce", body)
-	if status != http.StatusOK {
-		t.Fatalf("post-release request: status %d: %s", status, got)
 	}
 }
 

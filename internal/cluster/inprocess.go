@@ -208,19 +208,13 @@ func (c *InProcess) StopWorker(i int) error {
 	return c.servers[i].Close()
 }
 
-// Drain gracefully quiesces every worker: stop advertising readiness,
-// wait for in-flight requests (bounded by ctx).
-func (c *InProcess) Drain(ctx context.Context) error {
-	for _, w := range c.Workers {
-		if err := w.Service.Drain(ctx); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// Close shuts the listeners down and closes every service.
+// Close shuts the listeners down and closes every service. It first
+// drops http.DefaultTransport's idle connections: the default router and
+// peer clients, the fault transports and a test's http.Get all use it,
+// its dialer can leave a connection it never sends a request on, and
+// Shutdown counts such a connection idle only once it is 5 s old.
 func (c *InProcess) Close() {
+	http.DefaultClient.CloseIdleConnections()
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
 	for _, srv := range c.servers {

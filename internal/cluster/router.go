@@ -1,12 +1,12 @@
 // Package cluster is the distributed serving tier over internal/service:
-// a consistent-hash router shards requests by canonical graph hash across
+// a rendezvous-hash router shards requests by canonical graph hash across
 // worker nodes, each worker joins its service's request pipeline as the
-// service.Tier (admission lanes, a tiered local LRU + peer fill cache,
-// push-on-compute, session replication), and a batch endpoint fans one
-// decode pass out per shard. The tier's contract is that a multi-node
-// cluster answers every request with bytes identical to a single-process
-// service: routing, caching, and fan-out may change where and whether an
-// instance is computed, never what the client reads.
+// service.Tier (a tiered local LRU + peer fill cache, push-on-compute,
+// session replication), and a batch endpoint fans one decode pass out
+// per shard. The tier's contract is that a multi-node cluster answers
+// every request with bytes identical to a single-process service:
+// routing, caching, and fan-out may change where and whether an instance
+// is computed, never what the client reads.
 package cluster
 
 import (

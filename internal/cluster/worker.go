@@ -36,10 +36,6 @@ func setTraceHeader(req *http.Request, tr *obs.Trace) {
 //     Entries travel in canonical vertex space (service wire format), so
 //     a relabeled duplicate filled from a peer still renders in its own
 //     numbering.
-//   - Admission lanes: a single solve about to compute (not a hit, not a
-//     collapse onto a running race, not a batch item) is classified
-//     fast/heavy by size class and admitted through bounded lanes; a full
-//     lane answers 429.
 //   - Push-on-compute: an entry computed on any shard is pushed to every
 //     member of its hash's replica set (PUT /internal/cache), so each of
 //     the R owners accumulates the cluster's working set no matter where
@@ -52,7 +48,6 @@ type Worker struct {
 	svc    *service.Server
 	cfg    WorkerConfig
 	topo   *Topology
-	adm    *Admission
 	client *http.Client
 	mux    *http.ServeMux
 
@@ -68,7 +63,6 @@ type Worker struct {
 	replPushes   atomic.Int64 // session log records replicated to peers
 	replFailures atomic.Int64 // ...that failed
 	logGaps      atomic.Int64 // received session log records that did not extend a log contiguously
-	laneRejects  [2]atomic.Int64
 
 	epochRejects    atomic.Int64 // internal RPCs rejected 409 for a stale epoch
 	epochAdoptions  atomic.Int64 // topology views adopted (broadcast or 409 exchange)
@@ -88,8 +82,6 @@ type WorkerConfig struct {
 	Self string
 	// Peers lists every worker's base URL, including Self.
 	Peers []string
-	// Admission parameterizes the heavy admission lane.
-	Admission AdmissionConfig
 	// Client performs peer cache traffic (default 2s timeout).
 	Client *http.Client
 	// Replicas is the replica-set size R each hash range is owned by
@@ -113,7 +105,6 @@ func NewWorker(svc *service.Server, cfg WorkerConfig) (*Worker, error) {
 		svc:    svc,
 		cfg:    cfg,
 		topo:   NewTopology(cfg.Peers),
-		adm:    NewAdmission(cfg.Admission),
 		client: cfg.Client,
 		mux:    http.NewServeMux(),
 	}
@@ -153,31 +144,10 @@ func (w *Worker) declareMetrics(r *obs.Registry) {
 	r.Gauge("regcoal_session_logs", "Session op logs held, live or dormant, for rebuild or migration.", func() int64 { return int64(len(w.svc.Sessions().Logs())) })
 	r.Gauge("regcoal_topology_epoch", "Current cluster membership epoch.", func() int64 { return int64(w.topo.View().Epoch) })
 	r.GaugeVec("regcoal_session_replica_lag", "Sessions held here whose last op-log ship to the peer failed.", "peer", w.replicaLag)
-	r.CounterVec("regcoal_cluster_lane_rejects_total", "Admission rejections per lane.", "lane", func(emit func(string, int64)) {
-		emit("fast", w.laneRejects[LaneFast].Load())
-		emit("heavy", w.laneRejects[LaneHeavy].Load())
-	})
-	r.GaugeVec("regcoal_cluster_lane_depth", "Admitted solves per lane.", "lane", func(emit func(string, int64)) {
-		emit("fast", int64(w.adm.Depth(LaneFast)))
-		emit("heavy", int64(w.adm.Depth(LaneHeavy)))
-	})
 }
 
 // ServeHTTP implements http.Handler.
 func (w *Worker) ServeHTTP(rw http.ResponseWriter, r *http.Request) { w.mux.ServeHTTP(rw, r) }
-
-// Admit implements service.Tier: a single solve about to compute is
-// classified fast/heavy by size and takes a slot in its lane; a full
-// lane answers 429.
-func (w *Worker) Admit(p *service.Prepared) (func(), error) {
-	lane := w.adm.Classify(p.Vertices(), p.Density())
-	if !w.adm.TryAcquire(lane) {
-		w.laneRejects[lane].Add(1)
-		w.svc.Metrics().Rejected.Add(1)
-		return nil, service.Error(http.StatusTooManyRequests, lane.String()+" lane full, retry later")
-	}
-	return func() { w.adm.Release(lane) }, nil
-}
 
 // Fill implements service.Tier: it consults the replica owners' caches
 // for a key missing locally, in replica order, seeding the local cache

@@ -18,6 +18,7 @@
 package coalesce
 
 import (
+	"cmp"
 	"sort"
 
 	"regcoal/internal/graph"
@@ -40,6 +41,22 @@ type Result struct {
 	// Rounds counts driver iterations until fixpoint, for strategies that
 	// iterate.
 	Rounds int
+}
+
+// Compare is the portfolio ordering of two answers on one instance:
+// colorable beats not, then more coalesced weight, then fewer remaining
+// moves. It is positive when a is better, negative when b is, 0 on a tie.
+func Compare(a, b *Result) int {
+	if a.Colorable != b.Colorable {
+		if a.Colorable {
+			return 1
+		}
+		return -1
+	}
+	if c := cmp.Compare(a.CoalescedWeight, b.CoalescedWeight); c != 0 {
+		return c
+	}
+	return cmp.Compare(len(b.Remaining), len(a.Remaining))
 }
 
 // summarize builds a Result for partition p on g with colorability checked

@@ -7,7 +7,6 @@ import (
 	"regcoal/internal/coalesce"
 	"regcoal/internal/exact"
 	"regcoal/internal/graph"
-	"regcoal/internal/greedy"
 	"regcoal/internal/regalloc"
 	"regcoal/internal/spill"
 )
@@ -123,21 +122,7 @@ func ExactRunner() Runner {
 			if err != nil {
 				return RunStats{}, err
 			}
-			coalesced, _ := res.P.CoalescedAffinities(g)
-			var w int64
-			for _, a := range coalesced {
-				w += a.Weight
-			}
-			stats := RunStats{
-				CoalescedWeight: w,
-				CoalescedMoves:  len(coalesced),
-				ResidualWeight:  res.Cost,
-				Rounds:          1,
-			}
-			if q, _, qerr := graph.Quotient(g, res.P); qerr == nil {
-				stats.GreedyAfter = greedy.IsGreedyKColorable(q, k)
-			}
-			return stats, nil
+			return statsFromResult(coalesce.ResultFromPartition(g, res.P, k)), nil
 		},
 	}
 }

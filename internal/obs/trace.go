@@ -34,10 +34,6 @@ func (id TraceID) String() string {
 	return string(buf[:])
 }
 
-// appendHex writes the ID's hex form into dst (which must hold 32
-// bytes) without allocating.
-func (id TraceID) appendHex(dst []byte) { hex.Encode(dst, id[:]) }
-
 // ParseTraceID decodes a header value. Only exact 32-digit hex strings
 // are accepted; anything else reports false and the caller mints a
 // fresh ID (a malformed inbound header must not collapse distinct

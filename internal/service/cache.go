@@ -8,11 +8,11 @@ import (
 )
 
 // Sharded LRU result cache. Keys are canonical-instance hashes prefixed
-// with the endpoint and portfolio (see cacheKey in service.go), values are
-// canonical-space solutions (entry) that render back into any vertex
-// numbering with the same canonical form. Sharding keeps lock contention
-// off the hot path under concurrent traffic; each shard is an independent
-// mutex + map + intrusive LRU list.
+// with the endpoint and portfolio (built by prepare in prepared.go),
+// values are canonical-space solutions (entry) that render back into any
+// vertex numbering with the same canonical form. Sharding keeps lock
+// contention off the hot path under concurrent traffic; each shard is an
+// independent mutex + map + intrusive LRU list.
 
 // entry is a cached solution in canonical vertex numbering. Entries are
 // immutable once stored: readers render them without locks. Its JSON

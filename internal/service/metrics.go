@@ -23,6 +23,7 @@ type Metrics struct {
 	CacheMisses           atomic.Int64
 	SingleflightCollapses atomic.Int64
 	Rejected              atomic.Int64
+	HeavyLaneRejects      atomic.Int64
 	BadRequests           atomic.Int64
 	Errors                atomic.Int64
 	DeadlineHits          atomic.Int64
@@ -52,7 +53,8 @@ func (s *Server) declareMetrics() {
 	r.Counter("regcoal_cache_misses_total", "Requests that had to compute.", m.CacheMisses.Load)
 	r.Counter("regcoal_cache_evictions_total", "Entries evicted from the result cache.", s.cache.Evictions)
 	r.Counter("regcoal_singleflight_collapses_total", "Requests answered by collapsing onto a concurrent identical request's race.", m.SingleflightCollapses.Load)
-	r.Counter("regcoal_rejected_total", "Requests rejected with 429 (pool saturated or admission lane full).", m.Rejected.Load)
+	r.Counter("regcoal_rejected_total", "Requests rejected with 429 (pool saturated or heavy lane full).", m.Rejected.Load)
+	r.Counter("regcoal_heavy_lane_rejects_total", "Heavy-instance computes rejected with 429 because every heavy-lane slot was taken.", m.HeavyLaneRejects.Load)
 	r.Counter("regcoal_bad_requests_total", "Requests rejected with 400.", m.BadRequests.Load)
 	r.Counter("regcoal_errors_total", "Requests failed with 5xx.", m.Errors.Load)
 	r.Counter("regcoal_deadline_hits_total", "Races cut off by the request deadline.", m.DeadlineHits.Load)
@@ -61,6 +63,7 @@ func (s *Server) declareMetrics() {
 	r.Gauge("regcoal_in_flight", "Requests currently being served.", m.InFlight.Load)
 	r.Gauge("regcoal_cache_entries", "Entries in the result cache.", func() int64 { return int64(s.cache.Len()) })
 	r.Gauge("regcoal_queue_depth", "Jobs waiting for a pool worker.", func() int64 { return int64(s.pool.QueueDepth()) })
+	r.Gauge("regcoal_heavy_lane_depth", "Heavy-instance computes holding a heavy-lane slot.", func() int64 { return int64(len(s.heavy)) })
 	r.Gauge("regcoal_uptime_seconds", "Seconds since server start.", func() int64 { return int64(time.Since(m.start).Seconds()) })
 	r.Gauge("regcoal_pool_workers", "Worker goroutines in the solve pool.", func() int64 { return int64(s.cfg.Workers) })
 	r.CounterVec("regcoal_strategy_wins_total", "Portfolio races won per strategy.", "strategy", m.strategyWins.Read((*atomic.Int64).Load))

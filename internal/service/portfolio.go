@@ -239,30 +239,6 @@ func exactRacer(f *graph.File) racer[*coalesce.Result] {
 	}
 }
 
-// cmpCoalesce prefers answers that keep the graph colorable, then the
-// most coalesced weight, then the fewest residual moves.
-func cmpCoalesce(a, b *coalesce.Result) int {
-	if a.Colorable != b.Colorable {
-		if a.Colorable {
-			return 1
-		}
-		return -1
-	}
-	switch {
-	case a.CoalescedWeight != b.CoalescedWeight:
-		if a.CoalescedWeight > b.CoalescedWeight {
-			return 1
-		}
-		return -1
-	case len(a.Remaining) != len(b.Remaining):
-		if len(a.Remaining) < len(b.Remaining) {
-			return 1
-		}
-		return -1
-	}
-	return 0
-}
-
 // allocNames lists the allocator portfolio member names. The spill-first
 // members run the two-phase pipeline (regalloc.AllocateSpillFirst): on
 // instances whose pressure exceeds k they are the members that guarantee

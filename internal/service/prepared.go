@@ -3,15 +3,15 @@ package service
 // The solve pipeline every solve and batch request runs through:
 //
 //	p, err := s.prepare(kind, req, f, form, tr)      // parse, validate, canonicalize or verify form
-//	out, disp, filled, err := s.solve(p, tr, admit)  // cache → Fill → singleflight → Admit → race
+//	out, disp, filled, err := s.solve(p, tr, admit)  // cache → Fill → singleflight → heavy lane → race
 //
 // prepare is the expensive decode side (graph build + Weisfeiler-Leman
 // canonicalization, or verification of the form a router forwarded);
 // solve is the answer side. A distribution tier (the cluster worker in
 // internal/cluster) joins the pipeline through the Tier hook installed
 // with SetTier instead of wrapping the handlers: it sees each Prepared's
-// canonical hash, cache key and size at fixed points, and never the
-// response bytes.
+// canonical hash and cache key at fixed points, and never the response
+// bytes.
 
 import (
 	"context"
@@ -21,6 +21,7 @@ import (
 	"strings"
 	"time"
 
+	"regcoal/internal/coalesce"
 	"regcoal/internal/engine"
 	"regcoal/internal/graph"
 	"regcoal/internal/obs"
@@ -28,18 +29,13 @@ import (
 )
 
 // Tier is the hook a distribution tier installs into the pipeline with
-// Server.SetTier (the cluster worker: peer fill, admission lanes,
-// push-on-compute and session replication). The service calls it at
-// four points; a Server without a tier behaves as a single node and
-// keeps no session op logs.
+// Server.SetTier (the cluster worker: peer fill, push-on-compute and
+// session replication). The service calls it at three points; a Server
+// without a tier behaves as a single node and keeps no session op logs.
 type Tier interface {
 	// Fill runs after a local cache miss and may seed the local cache
 	// from a peer (CacheSeed); it reports whether it did.
 	Fill(p *Prepared, tr *obs.Trace) bool
-	// Admit gates a single solve about to compute — not hits, not
-	// requests collapsing onto a running race, not batch items. It
-	// returns the slot's release, or an error (see Error) to answer with.
-	Admit(p *Prepared) (release func(), err error)
 	// Computed runs after the request led a fresh race whose answer
 	// entered the cache.
 	Computed(p *Prepared, tr *obs.Trace)
@@ -74,16 +70,19 @@ func (p *Prepared) Key() string { return p.key }
 // duplicates of one instance share it.
 func (p *Prepared) Hash() string { return p.canon.Hash }
 
-// Vertices reports the instance size.
-func (p *Prepared) Vertices() int { return p.inst.G.N() }
-
-// Density is the instance's edge density in [0,1]: E / (N choose 2).
-func (p *Prepared) Density() float64 {
+// heavy reports whether the instance's race may hold pool workers for a
+// whole deadline: at least heavyVertices vertices, or vertices × edge
+// density (E / (N choose 2)) at least heavyScore.
+func (p *Prepared) heavy() bool {
 	n := p.inst.G.N()
-	if n < 2 {
-		return 0
+	if n >= heavyVertices {
+		return true
 	}
-	return float64(p.inst.G.E()) / (float64(n) * float64(n-1) / 2)
+	if n < 2 {
+		return false
+	}
+	density := float64(p.inst.G.E()) / (float64(n) * float64(n-1) / 2)
+	return float64(n)*density >= heavyScore
 }
 
 // prepare parses and validates a single-graph request into a Prepared:
@@ -167,11 +166,11 @@ func (s *Server) prepare(kind Kind, req *Request, f *graph.File, form string, tr
 // collapse concurrent identical misses into one computation via the
 // singleflight group, whose leader re-checks the cache first, or compute
 // on the pool under the request deadline.
-// Leader-only bookkeeping (admission, deadline-hit and strategy-win
-// counters, the cache insert) happens inside the flight so a collapse of
-// n requests costs one slot and records one race, not n. admit applies
-// the tier's admission lanes (single solves, not batch items). tr may be
-// nil; the rendered answer is identical either way.
+// Leader-only bookkeeping (the heavy lane, deadline-hit and
+// strategy-win counters, the cache insert) happens inside the flight so
+// a collapse of n requests costs one slot and records one race, not n.
+// admit applies the heavy lane (single solves, not batch items). tr may
+// be nil; the rendered answer is identical either way.
 func (s *Server) solve(p *Prepared, tr *obs.Trace, admit bool) (out any, disposition string, filled bool, err error) {
 	if p.noCache {
 		// no_cache means "compute fresh": no cache lookup or insert, and
@@ -271,18 +270,23 @@ func (s *Server) recordComputed(e *entry, tr *obs.Trace) {
 }
 
 // computeOnPool schedules the portfolio race on the worker pool under the
-// request deadline and maps pool saturation to 429; with admit set, the
-// tier's admission lanes gate it first. The race phase span covers queue
-// wait plus the race itself; the solve goroutine carries pprof labels
-// (endpoint, family) so CPU profiles attribute time to traffic shape, and
-// each portfolio member adds its own strategy label on top (see race).
+// request deadline and maps pool saturation to 429; with admit set, a
+// heavy instance first takes one of the heavy lane's heavySlots slots,
+// and a full lane answers 429 rather than let expensive races crowd the
+// pool. The race phase span covers queue wait plus the race itself; the
+// solve goroutine carries pprof labels (endpoint, family) so CPU
+// profiles attribute time to traffic shape, and each portfolio member
+// adds its own strategy label on top (see race).
 func (s *Server) computeOnPool(p *Prepared, tr *obs.Trace, admit bool) (*entry, error) {
-	if admit && s.tier != nil {
-		release, err := s.tier.Admit(p)
-		if err != nil {
-			return nil, err
+	if admit && p.heavy() {
+		select {
+		case s.heavy <- struct{}{}:
+			defer func() { <-s.heavy }()
+		default:
+			s.metrics.HeavyLaneRejects.Add(1)
+			s.metrics.Rejected.Add(1)
+			return nil, &httpError{status: http.StatusTooManyRequests, msg: "heavy lane full, retry later"}
 		}
-		defer release()
 	}
 	deadline := s.cfg.DefaultDeadline
 	if p.deadlineMS > 0 {
@@ -368,7 +372,7 @@ func (s *Server) compute(p *Prepared, deadline time.Duration, tr *obs.Trace) (*e
 	if err != nil {
 		return nil, err
 	}
-	best, winner, _, hit, err := race(ctx, members, cmpCoalesce, tr)
+	best, winner, _, hit, err := race(ctx, members, coalesce.Compare, tr)
 	if err != nil {
 		return nil, err
 	}

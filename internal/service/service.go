@@ -22,10 +22,12 @@
 //	GET  /stats        JSON counter snapshot
 //
 // Overload surfaces as backpressure: when the bounded submission queue is
-// full, requests are rejected with 429 instead of queueing without bound.
+// full, requests are rejected with 429 instead of queueing without bound,
+// and a large or dense instance about to race takes one of a few heavy
+// lane slots, answering 429 when none is free.
 //
 // These handlers are the only request pipeline: the cluster worker in
-// internal/cluster joins it through the Tier hook (peer fill, admission,
+// internal/cluster joins it through the Tier hook (peer fill,
 // push-on-compute, session replication) rather than wrapping it. See
 // prepared.go.
 package service
@@ -87,6 +89,14 @@ const (
 	// member answers with its anytime incumbent instead of holding a
 	// worker for the rest of the deadline.
 	spillExactNodes = 1 << 14
+	// heavySlots bounds the heavy lane: at most this many races on heavy
+	// instances hold the pool at once, and another answers 429.
+	heavySlots = 2
+	// An instance is heavy with at least heavyVertices vertices, or when
+	// vertices × edge density reaches heavyScore (e.g. 2048 vertices at
+	// 25% density).
+	heavyVertices = 20000
+	heavyScore    = 512
 )
 
 // Config parameterizes a Server. Zero values take defaults.
@@ -157,7 +167,8 @@ type Server struct {
 	mux      *http.ServeMux
 	flights  singleflight.Group
 	sessions *session.Store
-	tier     Tier // nil on a single node; see SetTier
+	tier     Tier          // nil on a single node; see SetTier
+	heavy    chan struct{} // the heavy lane's slots; see computeOnPool
 
 	draining  atomic.Bool
 	baseCtx   context.Context
@@ -179,6 +190,7 @@ func New(cfg Config) (*Server, error) {
 		lat:       obs.NewSet(),
 		tracer:    obs.NewTracer(128, 32, time.Millisecond),
 		mux:       http.NewServeMux(),
+		heavy:     make(chan struct{}, heavySlots),
 		baseCtx:   ctx,
 		cancelAll: cancel,
 		sessions: session.NewStore(session.StoreConfig{
@@ -294,10 +306,6 @@ type httpError struct {
 }
 
 func (e *httpError) Error() string { return e.msg }
-
-// Error builds an error that the handlers answer with the given status
-// and {"error": msg} body — how a Tier rejects a request.
-func Error(status int, msg string) error { return &httpError{status: status, msg: msg} }
 
 // ErrorStatus maps a solve-path error to its HTTP status (500 when the
 // error carries none).
@@ -524,9 +532,10 @@ func (s *Server) runBatch(kind Kind, items []Request) *BatchResponse {
 }
 
 // solveBatchItem answers one batch element as an in-place entry: the
-// single-solve pipeline without admission (the fan-out is already bounded
-// by the pool queue, whose saturation surfaces per entry). A malformed
-// element, or one every strategy declines, counts as a bad request.
+// single-solve pipeline without the heavy lane (the fan-out is already
+// bounded by the pool queue, whose saturation surfaces per entry). A
+// malformed element, or one every strategy declines, counts as a bad
+// request.
 func (s *Server) solveBatchItem(kind Kind, sub *Request) BatchEntry {
 	p, err := s.prepare(kind, sub, nil, "", nil)
 	if err != nil {

@@ -131,7 +131,6 @@ func (g *gatedTier) Fill(*Prepared, *obs.Trace) bool {
 	}
 	return false
 }
-func (g *gatedTier) Admit(*Prepared) (func(), error)     { return func() {}, nil }
 func (g *gatedTier) Computed(*Prepared, *obs.Trace)      { g.computed.Add(1) }
 func (g *gatedTier) SessionLogged(*session.ExportRecord) {}
 
@@ -344,6 +343,44 @@ func TestSaturationBackpressure(t *testing.T) {
 	}
 	if s.Metrics().Rejected.Load() != 1 {
 		t.Fatal("rejection not counted")
+	}
+}
+
+// A heavy instance about to race takes a heavy-lane slot; with every
+// slot taken it answers 429 instead of queueing another expensive race,
+// while a light instance still computes.
+func TestHeavyLaneRejectsWhenFull(t *testing.T) {
+	s, ts := newTestServer(t, Config{})
+	// Hold every slot, as heavySlots running heavy races would.
+	for range heavySlots {
+		s.heavy <- struct{}{}
+	}
+	const n = 513 // a clique: n × density 1 ≥ heavyScore
+	spec := &GraphSpec{Vertices: n, K: n}
+	for u := range n {
+		for v := u + 1; v < n; v++ {
+			spec.Edges = append(spec.Edges, [2]int{u, v})
+		}
+	}
+	clique, err := json.Marshal(&Request{Graph: spec})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	resp, body := post(t, ts.URL+"/v1/coalesce", string(clique))
+	if resp.StatusCode != http.StatusTooManyRequests || string(body) != `{"error":"heavy lane full, retry later"}` {
+		t.Fatalf("heavy instance, lane full: status %d (%s), want 429", resp.StatusCode, body)
+	}
+	if resp, body := post(t, ts.URL+"/v1/coalesce", pathInstance); resp.StatusCode != http.StatusOK {
+		t.Fatalf("light instance, lane full: status %d (%s), want 200", resp.StatusCode, body)
+	}
+	<-s.heavy
+	if resp, body := post(t, ts.URL+"/v1/coalesce", string(clique)); resp.StatusCode != http.StatusOK {
+		t.Fatalf("heavy instance, a slot free: status %d (%s), want 200", resp.StatusCode, body)
+	}
+	st := s.Registry().Snapshot()
+	if r, all, depth := st.Int("heavy_lane_rejects"), st.Int("rejected"), st.Int("heavy_lane_depth"); r != 1 || all != 1 || depth != 1 {
+		t.Fatalf("heavy lane rejects %d, rejected %d, depth %d; want 1, 1 and 1", r, all, depth)
 	}
 }
 

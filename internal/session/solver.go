@@ -7,9 +7,9 @@ package session
 // is solved by the same deterministic member set — ChordalIncremental
 // (via ChordalProgressive) where the component is chordal, the
 // conservative briggs+george rule, and optimistic de-coalescing — with
-// the best answer picked by the portfolio ordering (colorable first,
-// then coalesced weight, then fewer remaining moves; earlier member wins
-// ties). Because "fresh" and "incremental" are the same per-component
+// the best answer picked by the portfolio ordering, coalesce.Compare
+// (colorable first, then coalesced weight, then fewer remaining moves;
+// earlier member wins ties). Because "fresh" and "incremental" are the same per-component
 // function over the same induced instances, reassembling reused or
 // memoized component results is exactly equal to a fresh solve — the
 // property the randomized edit-script differential suite pins.
@@ -277,30 +277,6 @@ func (s *Session) fingerprint(vs []graph.V, local []int) fp {
 	return h
 }
 
-// cmpResults is the portfolio ordering: colorable beats not, then higher
-// coalesced weight, then fewer remaining moves.
-func cmpResults(a, b *coalesce.Result) int {
-	if a.Colorable != b.Colorable {
-		if a.Colorable {
-			return 1
-		}
-		return -1
-	}
-	switch {
-	case a.CoalescedWeight != b.CoalescedWeight:
-		if a.CoalescedWeight > b.CoalescedWeight {
-			return 1
-		}
-		return -1
-	case len(a.Remaining) != len(b.Remaining):
-		if len(a.Remaining) < len(b.Remaining) {
-			return 1
-		}
-		return -1
-	}
-	return 0
-}
-
 // solveComponent builds the induced instance of vs in local numbering
 // and solves it with the deterministic member set. Only runs on memo
 // misses, so its allocations are off the steady-state path.
@@ -337,10 +313,10 @@ func (s *Session) solveComponent(vs []graph.V, local []int) *compResult {
 	if res, err := coalesce.ChordalProgressive(cg, s.k); err == nil {
 		best, bestName = res, "chordal-inc"
 	}
-	if res := coalesce.Conservative(cg, s.k, coalesce.TestBriggsGeorge); best == nil || cmpResults(res, best) > 0 {
+	if res := coalesce.Conservative(cg, s.k, coalesce.TestBriggsGeorge); best == nil || coalesce.Compare(res, best) > 0 {
 		best, bestName = res, "briggs+george"
 	}
-	if res := coalesce.Optimistic(cg, s.k); cmpResults(res, best) > 0 {
+	if res := coalesce.Optimistic(cg, s.k); coalesce.Compare(res, best) > 0 {
 		best, bestName = res, "optimistic"
 	}
 	if bestName == "chordal-inc" && s.metrics != nil {
