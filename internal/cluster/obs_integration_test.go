@@ -155,18 +155,6 @@ func TestPrometheusSurfacesPassStrictLint(t *testing.T) {
 	_, single := startSingle(t, service.Config{})
 	post(t, single.URL+"/v1/allocate", requestBody(t, insts[0].File))
 
-	// Families outside the registry: the latency histograms (the
-	// "latency" key on /stats) and the runtime gauges (/metrics only).
-	unregistered := map[string]bool{
-		"regcoal_request_duration_seconds": true,
-		"regcoal_phase_duration_seconds":   true,
-	}
-	var runtime bytes.Buffer
-	obs.WriteRuntimePrometheus(&runtime)
-	for _, f := range typedFamilies(runtime.String()) {
-		unregistered[f] = true
-	}
-
 	surfaces := map[string]string{
 		"router":  c.RouterURL,
 		"worker0": c.Workers[0].URL,
@@ -182,9 +170,14 @@ func TestPrometheusSurfacesPassStrictLint(t *testing.T) {
 			t.Errorf("%s /metrics fails lint:\n  %s", name, strings.Join(problems, "\n  "))
 		}
 
-		// /stats and /metrics render the same families: every registry
-		// family on /metrics has its key on /stats, and every /stats key
-		// but "latency" names a /metrics family.
+		// Every node, the router included, exports the runtime families.
+		if !strings.Contains(string(payload), "\nregcoal_goroutines ") {
+			t.Errorf("%s /metrics carries no regcoal_goroutines", name)
+		}
+
+		// /stats and /metrics render the same registry: every family on
+		// /metrics has its key on /stats, and every /stats key names a
+		// /metrics family.
 		status, _, statsBody := get(t, base+"/stats")
 		if status != http.StatusOK {
 			t.Fatalf("%s: /stats status %d", name, status)
@@ -193,11 +186,8 @@ func TestPrometheusSurfacesPassStrictLint(t *testing.T) {
 		if err := json.Unmarshal(statsBody, &stats); err != nil {
 			t.Fatalf("%s: /stats: %v", name, err)
 		}
-		keys := map[string]bool{"latency": true}
+		keys := map[string]bool{}
 		for _, f := range typedFamilies(string(payload)) {
-			if unregistered[f] {
-				continue
-			}
 			keys[obs.StatsKey(f)] = true
 			if _, ok := stats[obs.StatsKey(f)]; !ok {
 				t.Errorf("%s: /metrics family %s has no /stats key %q", name, f, obs.StatsKey(f))

@@ -9,6 +9,7 @@ package cluster_test
 // k line, a DIMACS regcoal k comment) still counts.
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -87,6 +88,34 @@ func TestOverCapBodiesSingleNodeAndRouter(t *testing.T) {
 			got = sessionIDs.ReplaceAll(got, []byte(`"session_id":"s-*"`))
 			if status != tc.status || string(got) != tc.want {
 				t.Errorf("%s%s %s:\n got (%d) %s\nwant (%d) %s", url, tc.path, tc.body, status, got, tc.status, tc.want)
+			}
+		}
+	}
+}
+
+// A body over service.MaxBodyBytes answers the same 400 on a single
+// node and through the router, on every endpoint that reads a body: both
+// hops read it with service.ReadBody, which names the body the way the
+// endpoint's decode errors do. A batch is read whole before it is
+// decoded, so neither a valid batch nor a syntax error in front of the
+// excess gets past the cap.
+func TestOverMaxBodyBytesSingleNodeAndRouter(t *testing.T) {
+	_, single := startSingle(t, service.Config{})
+	c := startCluster(t, 2, cluster.InProcessOptions{})
+	batch := `{"kind":"coalesce","items":[{"graph":{"text":"k 2\nedge a b\n"}}]}`
+	for _, tc := range []struct{ path, prefix, what string }{
+		{"/v1/coalesce", "", "request"},
+		{"/v1/coalesce/delta", "", "delta request"},
+		{"/v1/batch", "", "batch request"},
+		{"/v1/batch", batch, "batch request"},
+		{"/v1/batch", `{"kind":"coalesce","items":[}`, "batch request"},
+	} {
+		body := append([]byte(tc.prefix), bytes.Repeat([]byte(" "), service.MaxBodyBytes+1-len(tc.prefix))...)
+		want := `{"error":"decoding ` + tc.what + `: http: request body too large"}`
+		for _, url := range []string{single.URL, c.RouterURL} {
+			status, _, got := post(t, url+tc.path, body)
+			if status != http.StatusBadRequest || string(got) != want {
+				t.Errorf("%s%s, %d bytes after %q: (%d) %s, want (400) %s", url, tc.path, len(body)-len(tc.prefix), tc.prefix, status, got, want)
 			}
 		}
 	}

@@ -13,9 +13,8 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
-	"hash/fnv"
 	"io"
-	"math/rand"
+	"math/rand/v2"
 	"net/http"
 	"sort"
 	"sync"
@@ -51,7 +50,6 @@ type Router struct {
 	topo   *Topology
 	client *http.Client
 	mux    *http.ServeMux
-	ids    *obs.Tracer  // trace-ID mint only; the router keeps no spans
 	reg    obs.Registry // the families behind /metrics and /stats
 
 	proxied         atomic.Int64
@@ -71,9 +69,6 @@ type Router struct {
 	readyMu sync.Mutex
 	ready   map[string]readyState
 	probes  singleflight.Group // one readiness probe in flight per node
-
-	jitterMu sync.Mutex
-	jitter   *rand.Rand
 }
 
 // shardStats is one worker's view from the router: how much traffic it
@@ -160,9 +155,7 @@ func NewRouter(cfg RouterConfig) (*Router, error) {
 		topo:   NewTopology(cfg.Workers),
 		client: cfg.Client,
 		mux:    http.NewServeMux(),
-		ids:    obs.NewTracer(1, 1, time.Hour),
 		ready:  make(map[string]readyState),
-		jitter: rand.New(rand.NewSource(hashSeed(cfg.Workers))),
 	}
 	r.declareMetrics()
 	if r.client == nil {
@@ -321,9 +314,9 @@ func (r *Router) handleProxy(routeKey func(body []byte, maxVertices int) (key, f
 		r.proxied.Add(1)
 		traceID := r.traceID(req)
 		rw.Header().Set(service.TraceIDHeader, traceID)
-		body, err := io.ReadAll(http.MaxBytesReader(rw, req.Body, service.MaxBodyBytes))
+		body, err := service.ReadBody(rw, req)
 		if err != nil {
-			r.writeError(rw, http.StatusBadRequest, fmt.Sprintf("reading request: %v", err))
+			r.writeError(rw, service.ErrorStatus(err), err.Error())
 			return
 		}
 		key, form := routeKey(body, r.cfg.MaxVertices)
@@ -341,7 +334,7 @@ func (r *Router) traceID(req *http.Request) string {
 	if id, ok := obs.ParseTraceID(req.Header.Get(service.TraceIDHeader)); ok {
 		return id.String()
 	}
-	return r.ids.NewID().String()
+	return obs.NewTraceID().String()
 }
 
 // forward sends body to key's replica set under the retry budget and
@@ -520,7 +513,9 @@ func (r *Router) forwardTo(path, key, form string, body []byte, traceID string, 
 
 // backoff returns the pre-retry wait after `attempt` launched attempts:
 // backoffBase doubling per attempt, capped at backoffCap, with the
-// upper half jittered to decorrelate concurrent retry storms.
+// upper half jittered from the process-wide random source to
+// decorrelate concurrent retry storms, within a router and across
+// routers.
 func (r *Router) backoff(attempt int) time.Duration {
 	d := backoffBase
 	for i := 1; i < attempt && d < backoffCap; i++ {
@@ -529,21 +524,7 @@ func (r *Router) backoff(attempt int) time.Duration {
 	if d > backoffCap {
 		d = backoffCap
 	}
-	r.jitterMu.Lock()
-	j := time.Duration(r.jitter.Int63n(int64(d)/2 + 1))
-	r.jitterMu.Unlock()
-	return d/2 + j
-}
-
-// hashSeed folds the worker list into the jitter seed, so distinct
-// routers decorrelate without consulting a clock.
-func hashSeed(nodes []string) int64 {
-	h := fnv.New64a()
-	for _, n := range nodes {
-		h.Write([]byte(n))
-		h.Write([]byte{0})
-	}
-	return int64(h.Sum64())
+	return d/2 + time.Duration(rand.Int64N(int64(d)/2+1))
 }
 
 // isReady consults the cached readiness of node, probing /readyz when
@@ -634,12 +615,12 @@ func (r *Router) handleBatch(rw http.ResponseWriter, req *http.Request) {
 	r.batchRequests.Add(1)
 	traceID := r.traceID(req)
 	rw.Header().Set(service.TraceIDHeader, traceID)
-	body, err := io.ReadAll(http.MaxBytesReader(rw, req.Body, service.MaxBodyBytes))
+	body, err := service.ReadBody(rw, req)
 	if err != nil {
-		r.writeError(rw, http.StatusBadRequest, fmt.Sprintf("reading request: %v", err))
+		r.writeError(rw, service.ErrorStatus(err), err.Error())
 		return
 	}
-	breq, _, err := service.DecodeBatch(bytes.NewReader(body), r.cfg.MaxBatch)
+	breq, _, err := service.DecodeBatch(body, r.cfg.MaxBatch)
 	if err != nil {
 		r.forward(rw, req, "", "", body, traceID, true)
 		return
@@ -731,7 +712,7 @@ func (r *Router) handleLivez(rw http.ResponseWriter, req *http.Request) {
 	r.writeJSON(rw, http.StatusOK, map[string]string{"status": "ok"})
 }
 
-// declareMetrics declares the router's families.
+// declareMetrics declares the router's families and the Go runtime's.
 func (r *Router) declareMetrics() {
 	g := &r.reg
 	g.Counter("regcoal_router_proxied_total", "Single-solve requests proxied.", r.proxied.Load)
@@ -752,9 +733,10 @@ func (r *Router) declareMetrics() {
 		r.shards.Read(func(s *shardStats) int64 { return s.failovers.Load() }))
 	g.CounterVec("regcoal_router_shard_fallback_total", "Fallback-keyed (unroutable) requests a shard answered.", "shard",
 		r.shards.Read(func(s *shardStats) int64 { return s.fallback.Load() }))
-	g.HistogramVec("regcoal_router_shard_latency_seconds", "Router-observed forward latency per shard.", "shard", func(emit func(string, *obs.Histogram)) {
-		r.shards.Each(func(node string, s *shardStats) { emit(node, &s.lat) })
+	g.HistogramVec("regcoal_router_shard_latency_seconds", "Router-observed forward latency per shard.", []string{"shard"}, func(emit func(*obs.Histogram, ...string)) {
+		r.shards.Each(func(node string, s *shardStats) { emit(&s.lat, node) })
 	})
+	obs.DeclareRuntime(g)
 }
 
 // Stats returns the router's /stats snapshot. Shards that never answered

@@ -3,7 +3,6 @@ package engine
 import (
 	"encoding/csv"
 	"encoding/json"
-	"fmt"
 	"io"
 	"strconv"
 )
@@ -114,10 +113,4 @@ func CSVSink(w io.Writer) Sink {
 		cw.Flush()
 		return cw.Error()
 	}
-}
-
-// String renders a compact one-line summary, for logs.
-func (r Record) String() string {
-	return fmt.Sprintf("%s %s %s: w=%d/%d status=%s",
-		r.Instance, r.Strategy, r.Family, r.CoalescedWeight, r.MoveWeight, r.Status)
 }

@@ -69,9 +69,6 @@ func (b Bits) Fill(n int) {
 	}
 }
 
-// CopyFrom overwrites b with o. The two must have the same length.
-func (b Bits) CopyFrom(o Bits) { copy(b, o) }
-
 // ForEach calls fn for every set bit, in increasing order.
 func (b Bits) ForEach(fn func(v V)) {
 	for i, w := range b {

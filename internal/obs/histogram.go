@@ -1,10 +1,12 @@
 // Package obs is the service's allocation-free observability layer:
 // log-bucketed atomic latency histograms (histogram.go), the registry
-// that declares each counter and gauge family once and renders it to
-// both /metrics and /stats (registry.go), per-request traces with phase
-// spans and portfolio-race timelines captured into pooled fixed-size
-// buffers (trace.go, tracer.go), and a strict Prometheus text-format
-// checker (promlint.go) that keeps every tier's /metrics output honest.
+// that declares every metric family once and renders it to both
+// /metrics and /stats (registry.go, with the Go runtime families in
+// runtime.go), per-request traces with phase spans and portfolio-race
+// timelines captured into pooled fixed-size buffers and fed into the
+// latency histograms (trace.go, tracer.go), and a strict Prometheus
+// text-format checker (promlint.go) that keeps every tier's /metrics
+// output honest.
 //
 // The layer is built for the hot path it instruments: recording a
 // latency sample or a span is a handful of atomic operations into
@@ -106,7 +108,7 @@ func (h *Histogram) Quantile(q float64) time.Duration {
 }
 
 // QuantileSummary is a histogram's compact quantile snapshot, the JSON
-// shape of the /stats latency section.
+// shape of a histogram series on /stats.
 type QuantileSummary struct {
 	Count uint64 `json:"count"`
 	// MeanNS is the exact arithmetic mean; the quantiles are log2-bucket

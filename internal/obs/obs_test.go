@@ -74,22 +74,28 @@ func TestHistogramQuantileSpread(t *testing.T) {
 }
 
 func TestHistogramPrometheusLints(t *testing.T) {
-	var set Set
-	set.ObserveRequest(EndpointCoalesce, 3*time.Millisecond)
-	set.ObservePhase(EndpointCoalesce, PhaseDecode, 100*time.Microsecond)
-	set.ObservePhase(EndpointCoalesce, PhaseRace, 2*time.Millisecond)
-	set.ObserveRequest(EndpointSpill, 40*time.Microsecond)
+	tracer := NewTracer(4, 4, 0)
+	tr := tracer.Start(EndpointCoalesce, TraceID{})
+	tr.BeginPhase(PhaseDecode)
+	tr.BeginPhase(PhaseRace)
+	tracer.Finish(tr)
+	tracer.Finish(tracer.Start(EndpointSpill, TraceID{}))
+	var r Registry
+	tracer.Declare(&r)
+	DeclareRuntime(&r)
 	var buf bytes.Buffer
-	set.WritePrometheus(&buf)
-	WriteRuntimePrometheus(&buf)
+	r.WritePrometheus(&buf)
 	if problems := LintPrometheus(buf.String()); len(problems) != 0 {
 		t.Fatalf("lint problems:\n%s", strings.Join(problems, "\n"))
 	}
 	out := buf.String()
 	for _, want := range []string{
 		`regcoal_request_duration_seconds_bucket{endpoint="coalesce",le="+Inf"} 1`,
+		`regcoal_request_duration_seconds_count{endpoint="spill"} 1`,
+		`regcoal_phase_duration_seconds_bucket{endpoint="coalesce",phase="decode",le="+Inf"} 1`,
 		`regcoal_phase_duration_seconds_bucket{endpoint="coalesce",phase="race",le="+Inf"} 1`,
-		"regcoal_goroutines",
+		"\nregcoal_goroutines ",
+		"\nregcoal_gc_pause_seconds_total ",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("output missing %q", want)
@@ -98,19 +104,32 @@ func TestHistogramPrometheusLints(t *testing.T) {
 	if strings.Contains(out, `endpoint="allocate"`) {
 		t.Error("zero-sample endpoint should be skipped")
 	}
+
+	// /stats carries the same histograms, a phase keyed endpoint/phase,
+	// and the GC pause total in seconds.
+	st := r.Snapshot()
+	phases, _ := st["phase_duration_seconds"].(map[string]QuantileSummary)
+	if len(phases) != 2 || phases["coalesce/decode"].Count != 1 || phases["coalesce/race"].Count != 1 {
+		t.Errorf("phase_duration_seconds = %v", phases)
+	}
+	if _, ok := st["gc_pause_seconds"].(float64); !ok || st.Int("goroutines") < 1 {
+		t.Errorf("runtime keys: gc_pause_seconds %v, goroutines %v", st["gc_pause_seconds"], st["goroutines"])
+	}
 }
 
 func TestIdleSetPrometheusLints(t *testing.T) {
 	// A server that has taken no traffic must still scrape clean: a
 	// HELP/TYPE header with zero samples is a strict-lint violation, so
-	// an all-empty family is omitted entirely.
-	var set Set
+	// the latency families are omitted entirely until a request finishes.
+	var r Registry
+	NewTracer(4, 4, 0).Declare(&r)
 	var buf bytes.Buffer
-	set.WritePrometheus(&buf)
-	if buf.Len() != 0 {
-		t.Fatalf("idle set emitted %q, want empty", buf.String())
+	r.WritePrometheus(&buf)
+	if buf.Len() != 0 || len(r.Snapshot()) != 0 {
+		t.Fatalf("idle tracer emitted %q and %v, want nothing", buf.String(), r.Snapshot())
 	}
-	WriteRuntimePrometheus(&buf)
+	DeclareRuntime(&r)
+	r.WritePrometheus(&buf)
 	if problems := LintPrometheus(buf.String()); len(problems) != 0 {
 		t.Fatalf("lint problems:\n%s", strings.Join(problems, "\n"))
 	}
@@ -145,8 +164,7 @@ func TestLintPrometheusCatchesViolations(t *testing.T) {
 }
 
 func TestTraceIDRoundTrip(t *testing.T) {
-	tr := NewTracer(4, 4, 0)
-	id := tr.NewID()
+	id := NewTraceID()
 	if id.IsZero() {
 		t.Fatal("minted zero ID")
 	}
@@ -164,7 +182,7 @@ func TestTraceIDRoundTrip(t *testing.T) {
 	if _, ok := ParseTraceID(strings.Repeat("0", 32)); ok {
 		t.Error("parsed zero ID as valid")
 	}
-	if id2 := tr.NewID(); id2 == id {
+	if id2 := NewTraceID(); id2 == id {
 		t.Error("consecutive IDs collide")
 	}
 }

@@ -1,10 +1,6 @@
 package obs
 
-import (
-	"io"
-	"strings"
-	"time"
-)
+import "strings"
 
 // Endpoint identifies which request family a sample belongs to.
 type Endpoint int
@@ -71,97 +67,7 @@ func ParsePhase(name string) Phase {
 	return NumPhases
 }
 
-// Set is a server's full latency-histogram family: one end-to-end
-// histogram per endpoint plus one per (endpoint, phase). Everything is
-// preallocated; recording is atomic adds only.
-type Set struct {
-	request [NumEndpoints]Histogram
-	phase   [NumEndpoints][NumPhases]Histogram
-}
-
-// NewSet builds an empty Set.
-func NewSet() *Set { return &Set{} }
-
-// ObserveRequest records one end-to-end request latency.
-func (s *Set) ObserveRequest(e Endpoint, d time.Duration) {
-	if e >= 0 && e < NumEndpoints {
-		s.request[e].Observe(d)
-	}
-}
-
-// ObservePhase records one phase latency.
-func (s *Set) ObservePhase(e Endpoint, p Phase, d time.Duration) {
-	if e >= 0 && e < NumEndpoints && p >= 0 && p < NumPhases {
-		s.phase[e][p].Observe(d)
-	}
-}
-
-// WritePrometheus renders the set as two histogram families:
-// regcoal_request_duration_seconds{endpoint=...} and
-// regcoal_phase_duration_seconds{endpoint=...,phase=...}. Series with
-// zero samples are skipped (an endpoint never hit emits nothing), and a
-// family whose every series is empty is omitted entirely — HELP/TYPE
-// included — so an idle server's scrape stays strict-lint clean (the
-// linter rejects a header with no samples) and scrape size stays
-// proportional to live traffic shape.
-func (s *Set) WritePrometheus(w io.Writer) {
-	headed := false
-	for e := Endpoint(0); e < NumEndpoints; e++ {
-		if s.request[e].Count() == 0 {
-			continue
-		}
-		if !headed {
-			writeHeader(w, "regcoal_request_duration_seconds", "End-to-end request latency per endpoint.", "histogram")
-			headed = true
-		}
-		s.request[e].WritePrometheus(w, "regcoal_request_duration_seconds", `endpoint="`+e.String()+`"`)
-	}
-	headed = false
-	for e := Endpoint(0); e < NumEndpoints; e++ {
-		for p := Phase(0); p < NumPhases; p++ {
-			if s.phase[e][p].Count() == 0 {
-				continue
-			}
-			if !headed {
-				writeHeader(w, "regcoal_phase_duration_seconds", "Per-phase request latency (decode, canon, peer, cache, race, encode).", "histogram")
-				headed = true
-			}
-			labels := `endpoint="` + e.String() + `",phase="` + p.String() + `"`
-			s.phase[e][p].WritePrometheus(w, "regcoal_phase_duration_seconds", labels)
-		}
-	}
-}
-
-// EndpointSummary is one endpoint's /stats latency section.
-type EndpointSummary struct {
-	Total  QuantileSummary            `json:"total"`
-	Phases map[string]QuantileSummary `json:"phases,omitempty"`
-}
-
-// Snapshot summarizes every endpoint with recorded samples, keyed by
-// endpoint name — the /stats "latency" section.
-func (s *Set) Snapshot() map[string]EndpointSummary {
-	out := make(map[string]EndpointSummary)
-	for e := Endpoint(0); e < NumEndpoints; e++ {
-		if s.request[e].Count() == 0 {
-			continue
-		}
-		es := EndpointSummary{Total: s.request[e].Summary()}
-		for p := Phase(0); p < NumPhases; p++ {
-			if s.phase[e][p].Count() == 0 {
-				continue
-			}
-			if es.Phases == nil {
-				es.Phases = make(map[string]QuantileSummary, int(NumPhases))
-			}
-			es.Phases[p.String()] = s.phase[e][p].Summary()
-		}
-		out[e.String()] = es
-	}
-	return out
-}
-
-// PhasesHeader renders a trace's phase durations as the compact
+// BuildPhasesHeader renders a trace's phase durations as the compact
 // X-Regcoal-Phases header value: "decode=1234;canon=56;..." with
 // nanosecond integer values, phases in path order, zero-duration
 // unvisited phases omitted. Loadgen parses it back with ParsePhases.

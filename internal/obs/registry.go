@@ -4,15 +4,16 @@ import (
 	"fmt"
 	"io"
 	"maps"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
+	"time"
 )
 
 // Registry holds a server's counter, gauge and histogram families. Each
-// is declared once — name, help, optional label, read function — and
+// is declared once — name, help, label names, read function — and
 // renders to both Prometheus text on /metrics (WritePrometheus) and the
 // /stats object (Snapshot), keyed by StatsKey(name). Read functions
 // sample existing state (an atomic's Load, a cache length), so the two
@@ -25,13 +26,16 @@ type Registry struct {
 }
 
 // family is one declaration. Exactly one of value, values and hists is
-// set.
+// set; seconds marks a value that reads nanoseconds and renders as
+// seconds.
 type family struct {
-	name, help, typ, label, key string
+	name, help, typ, key string
+	labels               []string
+	seconds              bool
 
 	value  func() int64
 	values func(emit func(label string, v int64))
-	hists  func(emit func(label string, h *Histogram))
+	hists  func(emit func(h *Histogram, labels ...string))
 }
 
 // StatsKey is a family's /stats key: its name without the regcoal_
@@ -50,23 +54,30 @@ func (r *Registry) Gauge(name, help string, read func() int64) {
 	r.declare(&family{name: name, help: help, typ: "gauge", value: read})
 }
 
+// DurationCounter declares an unlabeled counter of elapsed time, which
+// both surfaces render in seconds.
+func (r *Registry) DurationCounter(name, help string, read func() time.Duration) {
+	r.declare(&family{name: name, help: help, typ: "counter", seconds: true, value: func() int64 { return int64(read()) }})
+}
+
 // CounterVec declares a counter family with one label; read emits one
 // value per label value.
 func (r *Registry) CounterVec(name, help, label string, read func(emit func(label string, v int64))) {
-	r.declare(&family{name: name, help: help, typ: "counter", label: label, values: read})
+	r.declare(&family{name: name, help: help, typ: "counter", labels: []string{label}, values: read})
 }
 
 // GaugeVec declares a gauge family with one label; read emits one value
 // per label value.
 func (r *Registry) GaugeVec(name, help, label string, read func(emit func(label string, v int64))) {
-	r.declare(&family{name: name, help: help, typ: "gauge", label: label, values: read})
+	r.declare(&family{name: name, help: help, typ: "gauge", labels: []string{label}, values: read})
 }
 
-// HistogramVec declares a latency histogram family with one label; read
-// emits one histogram per label value. /stats carries each one's
-// QuantileSummary.
-func (r *Registry) HistogramVec(name, help, label string, read func(emit func(label string, h *Histogram))) {
-	r.declare(&family{name: name, help: help, typ: "histogram", label: label, hists: read})
+// HistogramVec declares a latency histogram family over the label names
+// labels; read emits one histogram per series with its label values, in
+// the order of labels. /stats carries each one's QuantileSummary, keyed
+// by the label values joined with "/".
+func (r *Registry) HistogramVec(name, help string, labels []string, read func(emit func(h *Histogram, labels ...string))) {
+	r.declare(&family{name: name, help: help, typ: "histogram", labels: labels, hists: read})
 }
 
 // declare adds f. Two families sharing a /stats key (a fortiori a name)
@@ -91,38 +102,45 @@ func (r *Registry) list() []*family {
 
 // series is one labeled series: a value, or a histogram.
 type series struct {
-	label string
-	v     int64
-	h     *Histogram
+	labels []string
+	v      int64
+	h      *Histogram
 }
 
-// series reads a labeled family, sorted by label value.
+// series reads a labeled family, sorted by label values (none for an
+// unlabeled family).
 func (f *family) series() []series {
 	var out []series
-	if f.values != nil {
-		f.values(func(label string, v int64) { out = append(out, series{label: label, v: v}) })
-	} else {
-		f.hists(func(label string, h *Histogram) { out = append(out, series{label: label, h: h}) })
+	switch {
+	case f.values != nil:
+		f.values(func(label string, v int64) { out = append(out, series{labels: []string{label}, v: v}) })
+	case f.hists != nil:
+		f.hists(func(h *Histogram, labels ...string) { out = append(out, series{labels: labels, h: h}) })
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].label < out[j].label })
+	slices.SortFunc(out, func(a, b series) int { return slices.Compare(a.labels, b.labels) })
 	return out
 }
 
 // WritePrometheus renders every family in declaration order.
 func (r *Registry) WritePrometheus(w io.Writer) {
 	for _, f := range r.list() {
-		var ss []series
-		if f.value == nil {
-			if ss = f.series(); len(ss) == 0 {
-				continue
-			}
+		ss := f.series()
+		if f.value == nil && len(ss) == 0 {
+			continue
 		}
 		writeHeader(w, f.name, f.help, f.typ)
-		if f.value != nil {
+		switch {
+		case f.seconds:
+			fmt.Fprintf(w, "%s %s\n", f.name, formatSeconds(f.value()))
+		case f.value != nil:
 			fmt.Fprintf(w, "%s %d\n", f.name, f.value())
 		}
 		for _, s := range ss {
-			labels := f.label + "=" + strconv.Quote(s.label)
+			pairs := make([]string, len(f.labels))
+			for i, name := range f.labels {
+				pairs[i] = name + "=" + strconv.Quote(s.labels[i])
+			}
+			labels := strings.Join(pairs, ",")
 			if s.h != nil {
 				s.h.WritePrometheus(w, f.name, labels)
 			} else {
@@ -133,30 +151,31 @@ func (r *Registry) WritePrometheus(w io.Writer) {
 }
 
 // Snapshot is a registry's /stats object: an unlabeled family's value is
-// an int64, a labeled family's an object keyed by label value (int64s,
-// or QuantileSummary for histograms).
+// an int64 (a float64 of seconds for a DurationCounter), a labeled
+// family's an object keyed by label values (int64s, or QuantileSummary
+// for histograms).
 type Snapshot map[string]any
 
 // Snapshot reads every family.
 func (r *Registry) Snapshot() Snapshot {
 	out := Snapshot{}
 	for _, f := range r.list() {
-		if f.value != nil {
-			out[f.key] = f.value()
-			continue
-		}
 		switch ss := f.series(); {
+		case f.seconds:
+			out[f.key] = float64(f.value()) / 1e9
+		case f.value != nil:
+			out[f.key] = f.value()
 		case len(ss) == 0:
 		case f.hists != nil:
 			m := make(map[string]QuantileSummary, len(ss))
 			for _, s := range ss {
-				m[s.label] = s.h.Summary()
+				m[strings.Join(s.labels, "/")] = s.h.Summary()
 			}
 			out[f.key] = m
 		default:
 			m := make(map[string]int64, len(ss))
 			for _, s := range ss {
-				m[s.label] = s.v
+				m[s.labels[0]] = s.v
 			}
 			out[f.key] = m
 		}

@@ -12,7 +12,7 @@ import (
 
 // TestRegistryRendersBothSurfaces declares one family of each shape and
 // checks that the one declaration yields both the Prometheus text and
-// the /stats object, that the text lints clean, that an empty labeled
+// the /stats object (a duration in seconds on both), that the text lints clean, that an empty labeled
 // family is omitted from both, and that a duplicate declaration panics.
 func TestRegistryRendersBothSurfaces(t *testing.T) {
 	var hits, depth atomic.Int64
@@ -31,9 +31,10 @@ func TestRegistryRendersBothSurfaces(t *testing.T) {
 	r.Gauge("regcoal_queue_depth", "Queue depth.", depth.Load)
 	r.CounterVec("regcoal_strategy_wins_total", "Wins per strategy.", "strategy", won.Read((*atomic.Int64).Load))
 	r.GaugeVec("regcoal_replica_lag", "Lag per peer.", "peer", idle.Read((*atomic.Int64).Load))
-	r.HistogramVec("regcoal_shard_latency_seconds", "Latency per shard.", "shard", func(emit func(string, *Histogram)) {
-		lat.Each(func(shard string, h *Histogram) { emit(shard, h) })
+	r.HistogramVec("regcoal_shard_latency_seconds", "Latency per shard.", []string{"shard"}, func(emit func(*Histogram, ...string)) {
+		lat.Each(func(shard string, h *Histogram) { emit(h, shard) })
 	})
+	r.DurationCounter("regcoal_pause_seconds_total", "Pause time.", func() time.Duration { return 1500 * time.Millisecond })
 
 	var buf bytes.Buffer
 	r.WritePrometheus(&buf)
@@ -49,6 +50,7 @@ func TestRegistryRendersBothSurfaces(t *testing.T) {
 			`regcoal_strategy_wins_total{strategy="optimistic"} 2` + "\n",
 		"# TYPE regcoal_shard_latency_seconds histogram\n" + `regcoal_shard_latency_seconds_bucket{shard="w0",`,
 		`regcoal_shard_latency_seconds_count{shard="w1"} 1`,
+		"# TYPE regcoal_pause_seconds_total counter\nregcoal_pause_seconds_total 1.5\n",
 	} {
 		if !strings.Contains(text, want) {
 			t.Errorf("/metrics missing %q:\n%s", want, text)
@@ -62,7 +64,7 @@ func TestRegistryRendersBothSurfaces(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := `{"cache_hits":7,"queue_depth":3,` +
+	want := `{"cache_hits":7,"pause_seconds":1.5,"queue_depth":3,` +
 		`"shard_latency_seconds":{"w0":{"count":1,"mean_ns":1000000,"p50_ns":1048576,"p90_ns":1048576,"p99_ns":1048576},` +
 		`"w1":{"count":1,"mean_ns":3000000,"p50_ns":4194304,"p90_ns":4194304,"p99_ns":4194304}},` +
 		`"strategy_wins":{"aggressive":5,"optimistic":2}}`

@@ -1,32 +1,34 @@
 package obs
 
 import (
-	"fmt"
-	"io"
-	"runtime"
+	"runtime/debug"
+	"runtime/metrics"
+	"time"
 )
 
-// WriteRuntimePrometheus renders Go runtime gauges — goroutine count,
-// GC totals, heap occupancy — as Prometheus text. It calls
-// runtime.ReadMemStats, which briefly stops the world, so it runs only
-// on /metrics scrape, never on the request path.
-func WriteRuntimePrometheus(w io.Writer) {
-	var ms runtime.MemStats
-	runtime.ReadMemStats(&ms)
+// DeclareRuntime declares the Go runtime families into r: goroutine
+// count, heap occupancy and GC totals. Each is read on scrape, from
+// runtime/metrics and debug.ReadGCStats, neither of which stops the
+// world, so they never touch the request path.
+func DeclareRuntime(r *Registry) {
+	r.Gauge("regcoal_goroutines", "Current goroutine count.", runtimeMetric("/sched/goroutines:goroutines"))
+	r.Gauge("regcoal_heap_alloc_bytes", "Bytes of allocated heap objects.", runtimeMetric("/memory/classes/heap/objects:bytes"))
+	r.Gauge("regcoal_heap_objects", "Number of allocated heap objects.", runtimeMetric("/gc/heap/objects:objects"))
+	r.Gauge("regcoal_next_gc_bytes", "Heap size target of the next GC cycle.", runtimeMetric("/gc/heap/goal:bytes"))
+	r.Counter("regcoal_gc_runs_total", "Completed GC cycles.", runtimeMetric("/gc/cycles/total:gc-cycles"))
+	r.DurationCounter("regcoal_gc_pause_seconds_total", "Cumulative GC stop-the-world pause time.", func() time.Duration {
+		var s debug.GCStats
+		debug.ReadGCStats(&s)
+		return s.PauseTotal
+	})
+	r.Counter("regcoal_alloc_bytes_total", "Cumulative bytes allocated.", runtimeMetric("/gc/heap/allocs:bytes"))
+}
 
-	gauge := func(name, help string, v uint64) {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s gauge\n%s %d\n", name, help, name, name, v)
+// runtimeMetric reads one uint64 runtime/metrics value.
+func runtimeMetric(name string) func() int64 {
+	return func() int64 {
+		s := []metrics.Sample{{Name: name}}
+		metrics.Read(s)
+		return int64(s[0].Value.Uint64())
 	}
-	counter := func(name, help string, v uint64) {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n%s %d\n", name, help, name, name, v)
-	}
-
-	gauge("regcoal_goroutines", "Current goroutine count.", uint64(runtime.NumGoroutine()))
-	gauge("regcoal_heap_alloc_bytes", "Bytes of allocated heap objects.", ms.HeapAlloc)
-	gauge("regcoal_heap_objects", "Number of allocated heap objects.", ms.HeapObjects)
-	gauge("regcoal_next_gc_bytes", "Heap size target of the next GC cycle.", ms.NextGC)
-	counter("regcoal_gc_runs_total", "Completed GC cycles.", uint64(ms.NumGC))
-	fmt.Fprintf(w, "# HELP regcoal_gc_pause_seconds_total Cumulative GC stop-the-world pause time.\n# TYPE regcoal_gc_pause_seconds_total counter\nregcoal_gc_pause_seconds_total %s\n",
-		formatSeconds(int64(ms.PauseTotalNs)))
-	counter("regcoal_alloc_bytes_total", "Cumulative bytes allocated.", ms.TotalAlloc)
 }

@@ -13,17 +13,18 @@ import (
 )
 
 // Tracer owns the trace lifecycle: a sync.Pool of Trace buffers, a
-// fixed table of in-flight requests, and two preallocated rings of
-// finished traces — the most recent N and the slowest N. Start and
-// Finish are allocation-free in steady state (pool reuse, fixed-slot
-// registration, copy-by-value into preallocated ring storage); only the
-// browse/JSON side allocates, and that runs on explicit /debug/requests
-// hits.
+// fixed table of in-flight requests, two preallocated rings of finished
+// traces — the most recent N and the slowest N — and the latency
+// histograms every finished trace feeds (see Declare). Start and Finish
+// are allocation-free in steady state (pool reuse, fixed-slot
+// registration, copy-by-value into preallocated ring storage, atomic
+// histogram adds); only the browse/JSON side allocates, and that runs on
+// explicit /debug/requests hits.
 type Tracer struct {
 	pool sync.Pool
 
-	idSeed uint64
-	idCtr  atomic.Uint64
+	request [NumEndpoints]Histogram            // end-to-end, per endpoint
+	phase   [NumEndpoints][NumPhases]Histogram // per (endpoint, phase)
 
 	mu     sync.Mutex
 	active [maxActive]activeEntry
@@ -62,12 +63,6 @@ func NewTracer(recentN, slowN int, slowFloor time.Duration) *Tracer {
 		slow:      make([]Trace, slowN),
 		slowFloor: int64(slowFloor),
 	}
-	var seed [8]byte
-	if _, err := cryptorand.Read(seed[:]); err == nil {
-		t.idSeed = binary.LittleEndian.Uint64(seed[:])
-	} else {
-		t.idSeed = uint64(time.Now().UnixNano())
-	}
 	t.pool.New = func() any {
 		tr := new(Trace)
 		tr.activeSlot = -1
@@ -76,14 +71,29 @@ func NewTracer(recentN, slowN int, slowFloor time.Duration) *Tracer {
 	return t
 }
 
-// NewID mints a fresh trace ID: two rounds of splitmix64 over an atomic
-// counter mixed with the per-process seed. Unique per process, cheap,
+// The process's trace-ID mint: a counter and a random seed, shared by
+// every tracer and the cluster router.
+var (
+	idSeed = randomSeed()
+	idCtr  atomic.Uint64
+)
+
+func randomSeed() uint64 {
+	var seed [8]byte
+	if _, err := cryptorand.Read(seed[:]); err != nil {
+		return uint64(time.Now().UnixNano())
+	}
+	return binary.LittleEndian.Uint64(seed[:])
+}
+
+// NewTraceID mints a fresh trace ID: two rounds of splitmix64 over the
+// process-wide counter mixed with the seed. Unique per process, cheap,
 // and allocation-free.
-func (t *Tracer) NewID() TraceID {
-	n := t.idCtr.Add(1)
+func NewTraceID() TraceID {
+	n := idCtr.Add(1)
 	var id TraceID
-	binary.BigEndian.PutUint64(id[0:8], splitmix64(t.idSeed+n))
-	binary.BigEndian.PutUint64(id[8:16], splitmix64(t.idSeed^(n*0x9e3779b97f4a7c15)))
+	binary.BigEndian.PutUint64(id[0:8], splitmix64(idSeed+n))
+	binary.BigEndian.PutUint64(id[8:16], splitmix64(idSeed^(n*0x9e3779b97f4a7c15)))
 	return id
 }
 
@@ -94,6 +104,31 @@ func splitmix64(x uint64) uint64 {
 	return x ^ (x >> 31)
 }
 
+// Declare declares the latency histograms Finish feeds into r:
+// regcoal_request_duration_seconds per endpoint and
+// regcoal_phase_duration_seconds per endpoint and phase. A series with
+// no samples is left out, so an idle server renders neither family.
+func (t *Tracer) Declare(r *Registry) {
+	r.HistogramVec("regcoal_request_duration_seconds", "End-to-end request latency per endpoint.",
+		[]string{"endpoint"}, func(emit func(*Histogram, ...string)) {
+			for e := range NumEndpoints {
+				if h := &t.request[e]; h.Count() > 0 {
+					emit(h, e.String())
+				}
+			}
+		})
+	r.HistogramVec("regcoal_phase_duration_seconds", "Per-phase request latency (decode, canon, peer, cache, race, encode).",
+		[]string{"endpoint", "phase"}, func(emit func(*Histogram, ...string)) {
+			for e := range NumEndpoints {
+				for p := range NumPhases {
+					if h := &t.phase[e][p]; h.Count() > 0 {
+						emit(h, e.String(), p.String())
+					}
+				}
+			}
+		})
+}
+
 // Start acquires a pooled trace for one request. id is the propagated
 // upstream ID; pass a zero TraceID to mint a fresh one. The returned
 // trace must be released with Finish.
@@ -101,7 +136,7 @@ func (t *Tracer) Start(e Endpoint, id TraceID) *Trace {
 	tr := t.pool.Get().(*Trace)
 	tr.reset()
 	if id.IsZero() {
-		id = t.NewID()
+		id = NewTraceID()
 	}
 	tr.ID = id
 	tr.Endpoint = e
@@ -118,7 +153,8 @@ func (t *Tracer) Start(e Endpoint, id TraceID) *Trace {
 	return tr
 }
 
-// Finish closes the trace, records it into the recent (and, if slow
+// Finish closes the trace, feeds its end-to-end and per-phase durations
+// into the latency histograms, records it into the recent (and, if slow
 // enough, slow) rings by value, and returns the buffer to the pool. The
 // caller must not touch tr afterwards.
 func (t *Tracer) Finish(tr *Trace) {
@@ -127,6 +163,10 @@ func (t *Tracer) Finish(tr *Trace) {
 	}
 	tr.EndPhase()
 	tr.DurNS = tr.Since()
+	for _, sp := range tr.Phases[:tr.NPhases] {
+		t.phase[tr.Endpoint][sp.Phase].Observe(time.Duration(sp.EndNS - sp.StartNS))
+	}
+	t.request[tr.Endpoint].Observe(time.Duration(tr.DurNS))
 	t.mu.Lock()
 	if tr.activeSlot >= 0 && tr.activeSlot < maxActive {
 		t.active[tr.activeSlot].used = false

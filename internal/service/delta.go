@@ -23,7 +23,6 @@ package service
 import (
 	"encoding/json"
 	"errors"
-	"io"
 	"net/http"
 
 	"regcoal/internal/graph"
@@ -143,7 +142,7 @@ func (s *Server) handleDelta(w http.ResponseWriter, r *http.Request) {
 	defer s.metrics.InFlight.Add(-1)
 
 	tr := s.startTrace(obs.EndpointDelta, r)
-	defer s.finishTrace(tr)
+	defer s.tracer.Finish(tr)
 	w.Header().Set(TraceIDHeader, tr.ID.String())
 	fail := func(err error) {
 		err = sessionError(err)
@@ -156,10 +155,8 @@ func (s *Server) handleDelta(w http.ResponseWriter, r *http.Request) {
 	tr.BeginPhase(obs.PhaseDecode)
 	var req DeltaRequest
 	var f *graph.File
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, MaxBodyBytes))
-	if err != nil {
-		err = badRequest("decoding delta request: %v", err)
-	} else {
+	body, err := ReadBody(w, r)
+	if err == nil {
 		req, f, err = decodeDelta(body, s.cfg.MaxVertices)
 	}
 	tr.EndPhase()

@@ -37,8 +37,9 @@ type Metrics struct {
 // StrategyWon counts a portfolio race won by the named strategy.
 func (m *Metrics) StrategyWon(name string) { m.strategyWins.With(name).Add(1) }
 
-// declareMetrics declares the service's families (and the session
-// layer's) into its registry.
+// declareMetrics declares the service's families, the session layer's,
+// the tracer's latency histograms and the Go runtime's into its
+// registry.
 func (s *Server) declareMetrics() {
 	m, r := s.metrics, &s.reg
 	r.CounterVec("regcoal_requests_total", "Requests per endpoint.", "endpoint", func(emit func(string, int64)) {
@@ -68,11 +69,13 @@ func (s *Server) declareMetrics() {
 	r.Gauge("regcoal_pool_workers", "Worker goroutines in the solve pool.", func() int64 { return int64(s.cfg.Workers) })
 	r.CounterVec("regcoal_strategy_wins_total", "Portfolio races won per strategy.", "strategy", m.strategyWins.Read((*atomic.Int64).Load))
 	s.sessions.Metrics().Declare(r)
+	s.tracer.Declare(r)
+	obs.DeclareRuntime(r)
 }
 
 // Stats decodes a service's /stats body (clients and tests): the keys of
-// the service's own families. The body itself is the registry snapshot
-// plus the latency section.
+// the service's own counters and gauges. The body itself is the registry
+// snapshot.
 type Stats struct {
 	UptimeSeconds         float64          `json:"uptime_seconds"`
 	Requests              map[string]int64 `json:"requests"`
@@ -92,7 +95,4 @@ type Stats struct {
 	InFlight              int64            `json:"in_flight"`
 	QueueDepth            int              `json:"queue_depth"`
 	StrategyWins          map[string]int64 `json:"strategy_wins"`
-	// Latency carries per-endpoint p50/p90/p99 summaries (total and per
-	// phase) from the obs histograms.
-	Latency map[string]obs.EndpointSummary `json:"latency,omitempty"`
 }

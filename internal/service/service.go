@@ -33,6 +33,7 @@
 package service
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -161,8 +162,7 @@ type Server struct {
 	pool     *engine.Pool
 	cache    *Cache
 	metrics  *Metrics
-	reg      obs.Registry // the counter and gauge families behind /metrics and /stats
-	lat      *obs.Set
+	reg      obs.Registry // every family behind /metrics and /stats
 	tracer   *obs.Tracer
 	mux      *http.ServeMux
 	flights  singleflight.Group
@@ -187,7 +187,6 @@ func New(cfg Config) (*Server, error) {
 		pool:      engine.NewPool(cfg.Workers, cfg.QueueCap),
 		cache:     NewCache(cfg.CacheCapacity, cacheShards),
 		metrics:   &Metrics{start: time.Now()},
-		lat:       obs.NewSet(),
 		tracer:    obs.NewTracer(128, 32, time.Millisecond),
 		mux:       http.NewServeMux(),
 		heavy:     make(chan struct{}, heavySlots),
@@ -343,19 +342,6 @@ func (s *Server) startTrace(e obs.Endpoint, r *http.Request) *obs.Trace {
 	return tr
 }
 
-// finishTrace closes the trace, feeds its end-to-end and per-phase
-// durations into the latency histograms, and files it into the
-// recent/slow rings. Allocation-free in steady state.
-func (s *Server) finishTrace(tr *obs.Trace) {
-	tr.EndPhase()
-	for i := 0; i < tr.NPhases; i++ {
-		sp := &tr.Phases[i]
-		s.lat.ObservePhase(tr.Endpoint, sp.Phase, time.Duration(sp.EndNS-sp.StartNS))
-	}
-	s.lat.ObserveRequest(tr.Endpoint, time.Duration(tr.Since()))
-	s.tracer.Finish(tr)
-}
-
 // Tracer exposes the trace rings (for embedders mounting their own
 // /debug/requests route).
 func (s *Server) Tracer() *obs.Tracer { return s.tracer }
@@ -397,7 +383,7 @@ func (s *Server) handleSolve(kind Kind) http.HandlerFunc {
 		defer s.metrics.InFlight.Add(-1)
 
 		tr := s.startTrace(endpoint, r)
-		defer s.finishTrace(tr)
+		defer s.tracer.Finish(tr)
 		w.Header().Set(TraceIDHeader, tr.ID.String())
 		fail := func(err error) {
 			tr.Status = ErrorStatus(err)
@@ -405,9 +391,9 @@ func (s *Server) handleSolve(kind Kind) http.HandlerFunc {
 		}
 
 		tr.BeginPhase(obs.PhaseDecode)
-		body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, MaxBodyBytes))
+		body, err := ReadBody(w, r)
 		if err != nil {
-			fail(badRequest("decoding request: %v", err))
+			fail(err)
 			return
 		}
 		req, f, err := decodeSolve(body, s.cfg.MaxVertices)
@@ -466,21 +452,53 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	s.metrics.InFlight.Add(1)
 	defer s.metrics.InFlight.Add(-1)
 
-	req, kind, err := DecodeBatch(http.MaxBytesReader(w, r.Body, MaxBodyBytes), s.cfg.MaxBatch)
+	// The items run untraced; the batch's trace times its decode.
+	tr := s.startTrace(obs.EndpointBatch, r)
+	defer s.tracer.Finish(tr)
+	w.Header().Set(TraceIDHeader, tr.ID.String())
+	tr.BeginPhase(obs.PhaseDecode)
+	body, err := ReadBody(w, r)
+	var req *BatchSolveRequest
+	var kind Kind
+	if err == nil {
+		req, kind, err = DecodeBatch(body, s.cfg.MaxBatch)
+	}
+	tr.EndPhase()
 	if err != nil {
+		tr.Status = ErrorStatus(err)
 		s.writeError(w, err)
 		return
 	}
+	tr.Status = http.StatusOK
 	s.writeJSON(w, http.StatusOK, s.runBatch(kind, req.Items))
+}
+
+// ReadBody reads a request body under MaxBodyBytes. The error is the
+// 400 both a server and a cluster router answer a body they cannot read
+// with, naming the body by its endpoint as that endpoint's decode errors
+// do.
+func ReadBody(w http.ResponseWriter, r *http.Request) ([]byte, error) {
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, MaxBodyBytes))
+	if err != nil {
+		what := "request"
+		switch r.URL.Path {
+		case "/v1/coalesce/delta":
+			what = "delta request"
+		case "/v1/batch":
+			what = "batch request"
+		}
+		return nil, badRequest("decoding %s: %v", what, err)
+	}
+	return body, nil
 }
 
 // DecodeBatch reads a /v1/batch body under the batch envelope's rules:
 // a strict decode, a known kind, and 1 to maxBatch items. The error is
 // the 400 a server answers with; a cluster router forwards a body that
 // fails them, whole, to its fallback shard, whose worker answers it.
-func DecodeBatch(body io.Reader, maxBatch int) (*BatchSolveRequest, Kind, error) {
+func DecodeBatch(body []byte, maxBatch int) (*BatchSolveRequest, Kind, error) {
 	var req BatchSolveRequest
-	dec := json.NewDecoder(body)
+	dec := json.NewDecoder(bytes.NewReader(body))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil {
 		return nil, 0, badRequest("decoding batch request: %v", err)
@@ -585,16 +603,10 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	s.reg.WritePrometheus(w)
-	s.lat.WritePrometheus(w)
-	obs.WriteRuntimePrometheus(w)
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
-	st := s.reg.Snapshot()
-	if lat := s.lat.Snapshot(); len(lat) > 0 {
-		st["latency"] = lat
-	}
-	s.writeJSON(w, http.StatusOK, st)
+	s.writeJSON(w, http.StatusOK, s.reg.Snapshot())
 }
 
 // writeJSON marshals once and writes the exact bytes: the body of a

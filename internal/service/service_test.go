@@ -429,6 +429,41 @@ func TestObservabilityEndpoints(t *testing.T) {
 	}
 }
 
+// A batch is timed like every other endpoint: one end-to-end sample and
+// one decode phase, on both /stats and /metrics.
+func TestBatchRequestIsTimed(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	if resp, body := post(t, ts.URL+"/v1/batch", `{"kind":"coalesce","items":[`+pathInstance+`]}`); resp.StatusCode != http.StatusOK {
+		t.Fatalf("batch: status %d (%s)", resp.StatusCode, body)
+	}
+	resp, err := http.Get(ts.URL + "/stats")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var stats struct {
+		Request map[string]obs.QuantileSummary `json:"request_duration_seconds"`
+		Phase   map[string]obs.QuantileSummary `json:"phase_duration_seconds"`
+	}
+	err = json.NewDecoder(resp.Body).Decode(&stats)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stats.Request["batch"].Count != 1 || stats.Phase["batch/decode"].Count != 1 || len(stats.Phase) != 1 {
+		t.Fatalf("request_duration_seconds %v, phase_duration_seconds %v; want one batch request and one batch/decode phase", stats.Request, stats.Phase)
+	}
+	resp, err = http.Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	buf.ReadFrom(resp.Body)
+	resp.Body.Close()
+	if want := `regcoal_phase_duration_seconds_count{endpoint="batch",phase="decode"} 1`; !strings.Contains(buf.String(), want) {
+		t.Errorf("/metrics missing %q", want)
+	}
+}
+
 func TestGracefulCloseRejectsNewWork(t *testing.T) {
 	s, err := New(Config{Workers: 1})
 	if err != nil {

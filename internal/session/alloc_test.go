@@ -5,8 +5,8 @@ package session
 // validate → apply → resolve entirely out of pooled scratch (arena
 // slices, cleared overlay maps, reused component sets and Solve
 // buffers) — the property that keeps per-delta service latency flat.
-// The name matches the CI alloc-gate pattern (ZeroAlloc), which re-runs
-// this under the race detector with the count assertion skipped.
+// It runs in go test ./... and in go test -race ./..., where the race
+// detector's own allocations skip the count assertion.
 
 import (
 	"testing"
